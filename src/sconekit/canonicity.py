@@ -6,8 +6,9 @@ term is convertible to; at Pi it is a meta-function on glued values; at
 a universe it is a glued type, itself a witness-assigning predicate.
 
 The evaluator is an instance of the displayed-model signature from
-models.py, specialised so that its first projection is (up to
-conversion) the syntactic closing substitution.
+models.py, specialised so that its first projection is the syntactic closing
+substitution.  That projection is built lazily: `canon` reads only the
+witnesses, so deciding a term never substitutes into it.
 """
 
 from __future__ import annotations
@@ -48,12 +49,38 @@ class BoolWitness(enum.Enum):
     IS_FALSE = "false"
 
 
-@dataclass(frozen=True)
 class GluedValue:
-    """A closed term together with its semantic witness."""
+    """A closed term together with its semantic witness.
 
-    term: Term
-    sem: Any
+    GluedValue(term, sem) holds a given term.  glued_eval instead records
+    the environment and the open term, and the closing substitution is
+    computed on the first read of .term and kept; canon reads only .sem.
+    """
+
+    __slots__ = ("_term", "_env", "_open", "sem")
+
+    def __init__(self, term: Term, sem: Any) -> None:
+        self._term = term
+        self._env: tuple[GluedValue, ...] = ()
+        self._open: Term | None = None
+        self.sem = sem
+
+    @classmethod
+    def deferred(cls, env: tuple[GluedValue, ...], t: Term, sem: Any) -> GluedValue:
+        """The glued value whose term is _close(env, t), computed on demand."""
+        gv = cls(None, sem)
+        gv._env, gv._open = env, t
+        return gv
+
+    @property
+    def term(self) -> Term:
+        if self._open is not None:
+            self._term = _close(self._env, self._open)
+            self._env, self._open = (), None
+        return self._term
+
+    def __repr__(self) -> str:
+        return f"GluedValue(term={self.term!r}, sem={self.sem!r})"
 
 
 @dataclass(frozen=True)
@@ -109,40 +136,41 @@ def glued_eval_type(env: tuple[GluedValue, ...], ty: Term) -> Any:
 def glued_eval(env: tuple[GluedValue, ...], t: Term) -> GluedValue:
     """Evaluate a well-typed term over an environment of glued values.
 
-    The term component is exactly the closing substitution applied to t;
-    the witness component is computed structurally.
+    The witness component is computed structurally.  The term component
+    is the closing substitution applied to t, built only when .term is
+    read.
     """
-    term = _close(env, t)
     match t:
         case Var(ix):
-            return GluedValue(term, env[ix].sem)
+            return env[ix]
         case TrueTm():
-            return GluedValue(term, BoolWitness.IS_TRUE)
+            sem = BoolWitness.IS_TRUE
         case FalseTm():
-            return GluedValue(term, BoolWitness.IS_FALSE)
+            sem = BoolWitness.IS_FALSE
         case Lam(b):
-            return GluedValue(term, lambda gv: glued_eval((gv,) + env, b))
+            sem = lambda gv: glued_eval((gv,) + env, b)
         case App(f, a):
-            gf = glued_eval(env, f)
-            ga = glued_eval(env, a)
-            return GluedValue(term, gf.sem(ga).sem)
+            sem = glued_eval(env, f).sem(glued_eval(env, a)).sem
         case ElimBool(_, tcase, fcase, scrut):
             gs = glued_eval(env, scrut)
             if gs.sem is BoolWitness.IS_TRUE:
-                return GluedValue(term, glued_eval(env, tcase).sem)
-            if gs.sem is BoolWitness.IS_FALSE:
-                return GluedValue(term, glued_eval(env, fcase).sem)
-            raise CanonicityError("boolean scrutinee carried no witness")
+                sem = glued_eval(env, tcase).sem
+            elif gs.sem is BoolWitness.IS_FALSE:
+                sem = glued_eval(env, fcase).sem
+            else:
+                raise CanonicityError("boolean scrutinee carried no witness")
         case Code(a):
-            return GluedValue(term, glued_eval_type(env, a))
+            sem = glued_eval_type(env, a)
         case LiftTm(x):
-            return GluedValue(term, glued_eval(env, x))
+            sem = glued_eval(env, x)
         case UnliftTm(x):
             inner = glued_eval(env, x).sem
             if not isinstance(inner, GluedValue):
                 raise CanonicityError("unlift of a term carrying no lifted witness")
-            return GluedValue(term, inner.sem)
-    raise CanonicityError(f"{t!r} is not interpretable as a term")
+            sem = inner.sem
+        case _:
+            raise CanonicityError(f"{t!r} is not interpretable as a term")
+    return GluedValue.deferred(env, t, sem)
 
 
 def canon(t: Term, max_level: int = typecheck.DEFAULT_MAX_LEVEL) -> BoolWitness:

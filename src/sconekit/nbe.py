@@ -23,7 +23,7 @@ from .syntax import (
     Lift,
     LiftTm,
     Pi,
-    Renaming,
+    ScopeError,
     Term,
     TrueTm,
     U,
@@ -335,10 +335,6 @@ def restrict_clo(clo: Clo, f: IxMap) -> Clo:
     return Clo(tuple(restrict(v, f) for v in clo.env), clo.body)
 
 
-def restrict_by_renaming(v: Val, r: Renaming) -> Val:
-    return restrict(v, lambda i: r.mapping[i])
-
-
 # ---------------------------------------------------------------------------
 # Evaluation
 
@@ -356,7 +352,8 @@ def eval_term(env: tuple[Val, ...], t: Term) -> Val:
     """One clause per former; Var looks up the environment."""
     match t:
         case Var(ix):
-            assert ix < len(env), "ill-scoped term reached the evaluator"
+            if ix >= len(env):
+                raise ScopeError(f"variable {ix} out of range in environment of length {len(env)}")
             return env[ix]
         case Lam(b):
             return VLam(Clo(env, b))
@@ -392,8 +389,9 @@ def eval_term(env: tuple[Val, ...], t: Term) -> Val:
             v = eval_term(env, tm)
             if isinstance(v, VLiftVal):
                 return v.inner
-            assert isinstance(v, VNe) and isinstance(v.vty, VLift)
-            return VNe(v.vty.ty, UnliftNe(v.ne))
+            if isinstance(v, VNe) and isinstance(v.vty, VLift):
+                return VNe(v.vty.ty, UnliftNe(v.ne))
+            raise TypeError(f"cannot unlift {v!r}")
     raise TypeError(f"unknown term {t!r}")
 
 
@@ -454,8 +452,8 @@ def quote(vty: Val, v: Val) -> Nf:
                 case VNe(_, ne):
                     return NeAtU(ne)
         case VEl(_):
-            assert isinstance(v, VNe)
-            return NeAtEl(v.ne)
+            if isinstance(v, VNe):
+                return NeAtEl(v.ne)
         case VLift(inner):
             match v:
                 case VLiftVal(w):
@@ -476,8 +474,8 @@ def quote_type(vty: Val) -> Nf:
         case VU(level):
             return UNf(level)
         case VEl(code):
-            assert isinstance(code, VNe)
-            return ElNf(code.ne)
+            if isinstance(code, VNe):
+                return ElNf(code.ne)
         case VLift(inner):
             return LiftNf(quote_type(inner))
     raise TypeError(f"cannot quote type value {vty!r}")
@@ -496,10 +494,6 @@ def reflect_context(ctx: Context) -> tuple[Val, ...]:
             restrict(v, _UP1) for v in env
         )
     return env
-
-
-def eval_in_context(ctx: Context, t: Term) -> Val:
-    return eval_term(reflect_context(ctx), t)
 
 
 def norm(ctx: Context, ty: Term, t: Term) -> Nf:

@@ -33,6 +33,7 @@ from .syntax import (
     Var,
     shift,
     subst1,
+    term_size,
 )
 
 DEFAULT_FUEL = 10_000
@@ -469,7 +470,7 @@ class _Gen:
         arg = self.term(ctx, dom, max(1, size // 3), depth + 1)
         # the checker types redexes only when the argument is inferable
         oracle_infer(ctx, arg)
-        body = self.term(ctx.extend(dom), shift(ty, 1), max(1, size - term_size_cap(arg) - 3), depth + 1)
+        body = self.term(ctx.extend(dom), shift(ty, 1), max(1, size - term_size(arg) - 3), depth + 1)
         return App(Lam(body), arg)
 
     def _elim_wrapper(self, ctx: Context, ty: Term, size: int, depth: int) -> Term:
@@ -629,12 +630,6 @@ def _nf_of_normal_type(ty: Term) -> Optional[nbe.Nf]:
         case El(Var(ix)):
             return nbe.ElNf(nbe.VarNe(ix))
     return None
-
-
-def term_size_cap(t: Term) -> int:
-    from .syntax import term_size
-
-    return term_size(t)
 
 
 def gen_term(budget: GenBudget, ctx: Context, ty: Term) -> Term:

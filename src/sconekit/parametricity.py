@@ -116,12 +116,6 @@ def param_family(ty: Term) -> Term:
     raise ParametricityError(f"{ty} is not a type in the fragment")
 
 
-def param_type(ty: Term) -> Term:
-    """For a closed type A, the closed predicate type (x : A) -> U_i
-    instantiated as Pi(A, A*(x)); here returned as the Pi over A."""
-    return Pi(ty, param_family(ty))
-
-
 @dataclass(frozen=True)
 class ParamResult:
     subject: Term
@@ -139,10 +133,8 @@ def translate(
     being returned.
     """
     ctx = Context()
-    typecheck.wf_type(ctx, ty, max_level)
     typecheck.check(ctx, t, ty, max_level)
     witness = param_term(t)
     witness_type = subst_with(param_family(ty), (t,), 0)
-    typecheck.wf_type(ctx, witness_type, max_level)
     typecheck.check(ctx, witness, witness_type, max_level)
     return ParamResult(t, ty, witness, witness_type)

@@ -111,13 +111,13 @@ def infer(ctx: Context, t: Term, max_level: int = DEFAULT_MAX_LEVEL) -> Term:
             fty = _norm_ty(ctx, infer(ctx, fn, max_level))
             if not isinstance(fty, Pi):
                 raise TypeMismatchError(f"{fty} is not a Π-type")
-            check(ctx, arg, fty.dom, max_level)
+            _check(ctx, arg, fty.dom, max_level)
             return subst1(fty.cod, arg)
         case ElimBool(motive, tcase, fcase, scrut):
-            check(ctx, scrut, Bool(), max_level)
+            _check(ctx, scrut, Bool(), max_level)
             wf_type(ctx.extend(Bool()), motive, max_level)
-            check(ctx, tcase, subst1(motive, TrueTm()), max_level)
-            check(ctx, fcase, subst1(motive, FalseTm()), max_level)
+            _check(ctx, tcase, _norm_ty(ctx, subst1(motive, TrueTm())), max_level)
+            _check(ctx, fcase, _norm_ty(ctx, subst1(motive, FalseTm())), max_level)
             return subst1(motive, scrut)
         case Code(ty):
             i = wf_type(ctx, ty, max_level)
@@ -139,19 +139,32 @@ def infer(ctx: Context, t: Term, max_level: int = DEFAULT_MAX_LEVEL) -> Term:
 
 
 def check(ctx: Context, t: Term, ty: Term, max_level: int = DEFAULT_MAX_LEVEL) -> None:
-    """Check t against the well-formed type ty, up to conversion."""
-    expected = _norm_ty(ctx, ty)
+    """Check t against the type ty, up to conversion.
+
+    ty is validated with wf_type and normalized once; the recursion then
+    works on the normal form.
+    """
+    wf_type(ctx, ty, max_level)
+    _check(ctx, t, _norm_ty(ctx, ty), max_level)
+
+
+def _check(ctx: Context, t: Term, expected: Term, max_level: int) -> None:
+    """Check t against expected, a well-formed type in normal form.
+
+    The domain, codomain and lifted type of a normal type are normal, so
+    nothing is normalized again on the way down.
+    """
     match (t, expected):
         case (Lam(body), Pi(dom, cod)):
-            check(ctx.extend(dom), body, cod, max_level)
+            _check(ctx.extend(dom), body, cod, max_level)
             return
         case (LiftTm(tm), Lift(inner)):
-            check(ctx, tm, inner, max_level)
+            _check(ctx, tm, inner, max_level)
             return
         case (App(_, _), _):
             contracted = _contract_head(ctx, t, max_level)
             if contracted is not None:
-                check(ctx, contracted, expected, max_level)
+                _check(ctx, contracted, expected, max_level)
                 return
     actual = _norm_ty(ctx, infer(ctx, t, max_level))
     if actual != expected:

@@ -18,7 +18,7 @@ from sconekit.syntax import (
     UnliftTm,
     Var,
 )
-from sconekit import oracle, typecheck
+from sconekit import canonicity, oracle, typecheck
 from sconekit.canonicity import (
     BoolWitness,
     CanonicityError,
@@ -96,3 +96,24 @@ def test_displayed_model_elim():
     assert (
         d.elim_bool_d(None, "t", "f", FalseTm(), d.false_d()) == "f"
     )
+
+
+def test_canon_of_nary_application_never_closes(monkeypatch):
+    # (fun x1 ... xn => x1) true false ... false
+    def fail_close(env, t):
+        raise AssertionError("canon built a first projection")
+
+    monkeypatch.setattr(canonicity, "_close", fail_close)
+    for n in (100, 200):
+        t = Var(n - 1)
+        for _ in range(n):
+            t = Lam(t)
+        for i in range(n):
+            t = App(t, TrueTm() if i == 0 else FalseTm())
+        assert canon(t) == BoolWitness.IS_TRUE
+
+
+def test_glued_eval_of_closed_term_projects_to_itself():
+    for seed in range(200):
+        t = oracle.gen_term(oracle.GenBudget(seed=seed), Context(), Bool())
+        assert glued_eval((), t).term == t

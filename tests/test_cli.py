@@ -96,3 +96,15 @@ def test_json_param_has_witness_type_field(files, capsys):
     assert main(["--json", "param", files("id.tt", CHURCH_ID)]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert "witness_type" in obj
+
+
+def test_check_rejects_term_ascribed_as_type(files, capsys):
+    assert main(["check", files("t.tt", "(fun x => x) : true")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_norm_rejects_term_given_as_type(files, capsys):
+    assert main(["norm", files("t.tt", "true"), "--type", "true"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,5 +1,7 @@
 """Normalization by evaluation: normal forms, eta-expansion, naturality."""
 
+import pytest
+
 from sconekit.syntax import (
     App,
     Bool,
@@ -12,6 +14,7 @@ from sconekit.syntax import (
     Lift,
     LiftTm,
     Pi,
+    ScopeError,
     TrueTm,
     U,
     UnliftTm,
@@ -124,3 +127,8 @@ def test_open_elim_stays_neutral_with_quoted_parts():
     got = norm(ctx, Bool(), t)
     # the true branch normalizes inside the stuck eliminator
     assert embed(got) == ElimBool(Bool(), TrueTm(), FalseTm(), Var(0))
+
+
+def test_norm_rejects_ill_scoped_variable():
+    with pytest.raises(ScopeError):
+        nbe.norm(Context(), Bool(), Var(0))

@@ -144,3 +144,38 @@ def test_infer_result_checks():
         except (oracle.NoInhabitantError, typecheck.TypeCheckError):
             continue
         check(ctx, t, inferred)
+
+
+def test_check_rejects_ill_scoped_type():
+    with pytest.raises((typecheck.ScopeError, typecheck.TypeCheckError)):
+        check(Context(), TrueTm(), Var(3))
+
+
+def test_check_rejects_term_as_type():
+    with pytest.raises(typecheck.TypeCheckError):
+        check(Context(), Lam(Var(0)), TrueTm())
+
+
+def _projection(n):
+    """fun x1 ... xn => x1 and its type Bool^n -> Bool."""
+    t, ty = Var(n - 1), Bool()
+    for _ in range(n):
+        t, ty = Lam(t), Pi(Bool(), ty)
+    return t, ty
+
+
+def test_check_normalizes_expected_type_a_fixed_number_of_times(monkeypatch):
+    calls = []
+    norm_type = typecheck.norm_type
+
+    def counting_norm_type(ctx, ty):
+        calls.append(ty)
+        return norm_type(ctx, ty)
+
+    monkeypatch.setattr(typecheck, "norm_type", counting_norm_type)
+    counts = []
+    for n in (30, 60):
+        calls.clear()
+        check(Context(), *_projection(n))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
