@@ -1,14 +1,18 @@
 """Canonicity by glued evaluation.
 
-Closed terms are interpreted as pairs of a closed syntactic term and a
-semantic witness.  At Bool the witness records which canonical form the
-term is convertible to; at Pi it is a meta-function on glued values; at
-a universe it is a glued type, itself a witness-assigning predicate.
+Closed terms are interpreted as pairs of a syntactic term and a semantic
+witness.  At Bool the witness records which canonical form the term is
+convertible to; at Pi it is a meta-function on glued values; at a
+universe it is a glued type, whose witness describes the predicate.
 
-The evaluator is an instance of the displayed-model signature from
-models.py, specialised so that its first projection is the syntactic closing
-substitution.  That projection is built lazily: `canon` reads only the
-witnesses, so deciding a term never substitutes into it.
+Glued evaluation is the model GLUED, run by the generic evaluator of
+models.py.  That evaluator is higher-order: binders are meta-functions,
+and there are no contexts.  Sconing turns it into a first-order model:
+the first projection of a glued value is a function of the binder depth
+at which it is read, and a binder is read back by applying its body to a
+fresh variable.  A fresh variable carries NO_WITNESS, which the
+eliminators pass on.  Witnesses are computed eagerly and first
+projections only when read, so `canon` never builds a term.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from . import typecheck
-from .models import DisplayedModel
+from .models import Model, eval_term, eval_type
 from .syntax import (
     App,
     Bool,
@@ -36,7 +40,6 @@ from .syntax import (
     U,
     UnliftTm,
     Var,
-    subst_with,
 )
 
 
@@ -49,34 +52,29 @@ class BoolWitness(enum.Enum):
     IS_FALSE = "false"
 
 
-class GluedValue:
-    """A closed term together with its semantic witness.
+# the witness of a variable bound while a first projection is read
+NO_WITNESS = None
 
-    GluedValue(term, sem) holds a given term.  glued_eval instead records
-    the environment and the open term, and the closing substitution is
-    computed on the first read of .term and kept; canon reads only .sem.
+
+class GluedValue:
+    """A term together with its semantic witness.
+
+    `term` is a closed term, read the same under any number of binders, or
+    a function from the binder depth to the term read there.  `read(depth)`
+    gives the term under `depth` binders; `.term` reads at depth 0 and
+    keeps the result.
     """
 
-    __slots__ = ("_term", "_env", "_open", "sem")
+    __slots__ = ("read", "_term", "sem")
 
-    def __init__(self, term: Term, sem: Any) -> None:
-        self._term = term
-        self._env: tuple[GluedValue, ...] = ()
-        self._open: Term | None = None
-        self.sem = sem
-
-    @classmethod
-    def deferred(cls, env: tuple[GluedValue, ...], t: Term, sem: Any) -> GluedValue:
-        """The glued value whose term is _close(env, t), computed on demand."""
-        gv = cls(None, sem)
-        gv._env, gv._open = env, t
-        return gv
+    def __init__(self, term: Term | Callable[[int], Term], sem: Any) -> None:
+        self.read = term if callable(term) else (lambda depth: term)
+        self._term, self.sem = None, sem
 
     @property
     def term(self) -> Term:
-        if self._open is not None:
-            self._term = _close(self._env, self._open)
-            self._env, self._open = (), None
+        if self._term is None:
+            self._term = self.read(0)
         return self._term
 
     def __repr__(self) -> str:
@@ -95,82 +93,98 @@ class CU:
 
 @dataclass(frozen=True, eq=False)
 class CPi:
-    dom: Any
-    cod: Callable[[GluedValue], Any]
+    dom: GluedValue
+    cod: Callable[[GluedValue], GluedValue]
 
 
 @dataclass(frozen=True, eq=False)
 class CLift:
-    inner: Any
+    inner: GluedValue
 
 
-def _close(env: tuple[GluedValue, ...], t: Term) -> Term:
-    """First projection: substitute the environment's closed terms into t.
-
-    env[0] is the innermost binding (Var 0).
-    """
-    return subst_with(t, tuple(gv.term for gv in env))
+def _fresh(level: int) -> GluedValue:
+    """The variable bound at binder depth `level`, for reading a body back."""
+    return GluedValue(lambda d: Var(d - level - 1), NO_WITNESS)
 
 
-def glued_eval_type(env: tuple[GluedValue, ...], ty: Term) -> Any:
-    match ty:
-        case Bool():
-            return CBool()
-        case U(level):
-            return CU(level)
-        case Pi(dom, cod):
-            return CPi(
-                glued_eval_type(env, dom),
-                lambda gv: glued_eval_type((gv,) + env, cod),
-            )
-        case El(c):
-            sem = glued_eval(env, c).sem
-            if not isinstance(sem, (CBool, CU, CPi, CLift)):
-                raise CanonicityError(f"code of {ty} did not evaluate to a glued type")
-            return sem
-        case Lift(a):
-            return CLift(glued_eval_type(env, a))
-    raise CanonicityError(f"{ty} is not a type")
+class GluedModel(Model):
+    """Sconing as a model: first projections read at a binder depth, paired
+    with witnesses over the closed terms."""
+
+    def pi(self, dom, cod):
+        return GluedValue(lambda d: Pi(dom.read(d), cod(_fresh(d)).read(d + 1)), CPi(dom, cod))
+
+    def lam(self, body):
+        return GluedValue(lambda d: Lam(body(_fresh(d)).read(d + 1)), body)
+
+    def app(self, fn, arg):
+        sem = NO_WITNESS if fn.sem is NO_WITNESS else fn.sem(arg).sem
+        return GluedValue(lambda d: App(fn.read(d), arg.read(d)), sem)
+
+    def bool_(self):
+        return _BOOL
+
+    def true(self):
+        return _TRUE
+
+    def false(self):
+        return _FALSE
+
+    def elim_bool(self, motive, tcase, fcase, scrut):
+        sem = scrut.sem
+        if sem is BoolWitness.IS_TRUE:
+            sem = tcase.sem
+        elif sem is BoolWitness.IS_FALSE:
+            sem = fcase.sem
+        elif sem is not NO_WITNESS:
+            raise CanonicityError("boolean scrutinee carried no witness")
+
+        def read(d: int) -> Term:
+            m = motive(_fresh(d)).read(d + 1)
+            return ElimBool(m, tcase.read(d), fcase.read(d), scrut.read(d))
+
+        return GluedValue(read, sem)
+
+    def u(self, level):
+        return GluedValue(U(level), CU(level))
+
+    def el(self, code):
+        if code.sem is not NO_WITNESS and not isinstance(code.sem, (CBool, CU, CPi, CLift)):
+            raise CanonicityError("code did not evaluate to a glued type")
+        return GluedValue(lambda d: El(code.read(d)), code.sem)
+
+    def code(self, ty):
+        return GluedValue(lambda d: Code(ty.read(d)), ty.sem)
+
+    def lift(self, ty):
+        return GluedValue(lambda d: Lift(ty.read(d)), CLift(ty))
+
+    def lift_tm(self, tm):
+        return GluedValue(lambda d: LiftTm(tm.read(d)), tm)
+
+    def unlift_tm(self, tm):
+        sem = tm.sem
+        if isinstance(sem, GluedValue):
+            sem = sem.sem
+        elif sem is not NO_WITNESS:
+            raise CanonicityError("unlift of a term carrying no lifted witness")
+        return GluedValue(lambda d: UnliftTm(tm.read(d)), sem)
+
+
+_BOOL = GluedValue(Bool(), CBool())
+_TRUE = GluedValue(TrueTm(), BoolWitness.IS_TRUE)
+_FALSE = GluedValue(FalseTm(), BoolWitness.IS_FALSE)
+GLUED = GluedModel()
+
+
+def glued_eval_type(env: tuple[GluedValue, ...], ty: Term) -> GluedValue:
+    """Evaluate a type; env is ordered outermost first, as in models."""
+    return eval_type(GLUED, env, ty)
 
 
 def glued_eval(env: tuple[GluedValue, ...], t: Term) -> GluedValue:
-    """Evaluate a well-typed term over an environment of glued values.
-
-    The witness component is computed structurally.  The term component
-    is the closing substitution applied to t, built only when .term is
-    read.
-    """
-    match t:
-        case Var(ix):
-            return env[ix]
-        case TrueTm():
-            sem = BoolWitness.IS_TRUE
-        case FalseTm():
-            sem = BoolWitness.IS_FALSE
-        case Lam(b):
-            sem = lambda gv: glued_eval((gv,) + env, b)
-        case App(f, a):
-            sem = glued_eval(env, f).sem(glued_eval(env, a)).sem
-        case ElimBool(_, tcase, fcase, scrut):
-            gs = glued_eval(env, scrut)
-            if gs.sem is BoolWitness.IS_TRUE:
-                sem = glued_eval(env, tcase).sem
-            elif gs.sem is BoolWitness.IS_FALSE:
-                sem = glued_eval(env, fcase).sem
-            else:
-                raise CanonicityError("boolean scrutinee carried no witness")
-        case Code(a):
-            sem = glued_eval_type(env, a)
-        case LiftTm(x):
-            sem = glued_eval(env, x)
-        case UnliftTm(x):
-            inner = glued_eval(env, x).sem
-            if not isinstance(inner, GluedValue):
-                raise CanonicityError("unlift of a term carrying no lifted witness")
-            sem = inner.sem
-        case _:
-            raise CanonicityError(f"{t!r} is not interpretable as a term")
-    return GluedValue.deferred(env, t, sem)
+    """Evaluate a term; env is ordered outermost first, as in models."""
+    return eval_term(GLUED, env, t)
 
 
 def canon(t: Term, max_level: int = typecheck.DEFAULT_MAX_LEVEL) -> BoolWitness:
@@ -180,33 +194,3 @@ def canon(t: Term, max_level: int = typecheck.DEFAULT_MAX_LEVEL) -> BoolWitness:
     if not isinstance(witness, BoolWitness):
         raise CanonicityError(f"non-boolean witness {witness!r}")
     return witness
-
-
-class GluingDisplayedModel(DisplayedModel):
-    """The displayed structure underlying glued evaluation, on the
-    Bool/Pi fragment: witnesses over the standard interpretations."""
-
-    def bool_d(self):
-        return CBool()
-
-    def true_d(self):
-        return BoolWitness.IS_TRUE
-
-    def false_d(self):
-        return BoolWitness.IS_FALSE
-
-    def pi_d(self, dom_d, cod_d):
-        return CPi(dom_d, lambda gv: cod_d(gv.term, gv.sem))
-
-    def lam_d(self, body_d):
-        return lambda gv: body_d(gv.term, gv.sem)
-
-    def app_d(self, fn_d, arg, arg_d):
-        return fn_d(GluedValue(arg, arg_d))
-
-    def elim_bool_d(self, motive_d, tcase_d, fcase_d, scrut, scrut_d):
-        if scrut_d is BoolWitness.IS_TRUE:
-            return tcase_d
-        if scrut_d is BoolWitness.IS_FALSE:
-            return fcase_d
-        raise CanonicityError("boolean scrutinee carried no witness")

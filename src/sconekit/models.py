@@ -2,8 +2,9 @@
 
 A Model packages one carrier operation per former, with binders taken as
 meta-level functions.  eval_term / eval_type interpret syntax into any
-model.  StandardModel interprets types as small enumerable sets, which
-makes the semantic equations samplable in tests.
+model; environments are ordered outermost first.  StandardModel interprets
+types as small enumerable sets, which makes the semantic equations
+samplable in tests.  Glued evaluation is the model canonicity.GLUED.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .syntax import (
     Lift,
     LiftTm,
     Pi,
+    ScopeError,
     Substitution,
     Term,
     TrueTm,
@@ -103,6 +105,8 @@ def eval_type(model: Model, env: tuple, ty: Term) -> Any:
 def eval_term(model: Model, env: tuple, t: Term) -> Any:
     match t:
         case Var(ix):
+            if not 0 <= ix < len(env):
+                raise ScopeError(f"variable {ix} out of range in environment of length {len(env)}")
             return env[len(env) - 1 - ix]
         case Lam(b):
             return model.lam(lambda a: eval_term(model, env + (a,), b))
@@ -286,35 +290,3 @@ def values_equal(sty: Any, v1: Any, v2: Any) -> bool:
             values_equal(sty.cod(a), v1(a), v2(a)) for a in elements(sty.dom)
         )
     raise ModelError(f"cannot compare elements of {sty!r}")
-
-
-# ---------------------------------------------------------------------------
-# Displayed models (proof-relevant predicates over a base model)
-
-
-class DisplayedModel(ABC):
-    """A model lying over a base model: one operation per former, each taking
-    the base interpretation together with witnesses over the subterms."""
-
-    @abstractmethod
-    def bool_d(self) -> Any: ...
-
-    @abstractmethod
-    def true_d(self) -> Any: ...
-
-    @abstractmethod
-    def false_d(self) -> Any: ...
-
-    @abstractmethod
-    def pi_d(self, dom_d: Any, cod_d: Callable[[Any, Any], Any]) -> Any: ...
-
-    @abstractmethod
-    def lam_d(self, body_d: Callable[[Any, Any], Any]) -> Any: ...
-
-    @abstractmethod
-    def app_d(self, fn_d: Any, arg: Any, arg_d: Any) -> Any: ...
-
-    @abstractmethod
-    def elim_bool_d(
-        self, motive_d: Any, tcase_d: Any, fcase_d: Any, scrut: Any, scrut_d: Any
-    ) -> Any: ...

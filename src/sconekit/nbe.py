@@ -3,7 +3,7 @@
 Semantic values are Kripke families over the category of renamings:
 every value, semantic type and closure supports restriction along a
 renaming of its ambient context.  Quoting produces typed, eta-long
-beta-normal forms; unquoting reflects neutrals into the value domain.
+beta-normal forms; a neutral is reflected into the value domain as VNe.
 """
 
 from __future__ import annotations
@@ -417,16 +417,7 @@ def _elim_bool(motive: Clo, vt: Val, vf: Val, scrut: Val) -> Val:
 
 
 # ---------------------------------------------------------------------------
-# Quote and unquote
-
-
-def unquote(vty: Val, ne: Ne) -> Val:
-    """Reflect a neutral into the value domain at the given semantic type.
-
-    At Pi the resulting value applies by extending the neutral spine with
-    the quoted argument; this is performed lazily by apply_val.
-    """
-    return VNe(vty, ne)
+# Quote
 
 
 def quote(vty: Val, v: Val) -> Nf:
@@ -434,7 +425,7 @@ def quote(vty: Val, v: Val) -> Nf:
     match vty:
         case VPi(dom, cod):
             dom_w = restrict(dom, _UP1)
-            fresh = unquote(dom_w, VarNe(0))
+            fresh = VNe(dom_w, VarNe(0))
             body = apply_val(restrict(v, _UP1), fresh)
             return LamNf(quote(restrict_clo(cod, _UP1)(fresh), body))
         case VBool():
@@ -467,7 +458,7 @@ def quote_type(vty: Val) -> Nf:
     match vty:
         case VPi(dom, cod):
             dom_w = restrict(dom, _UP1)
-            fresh = unquote(dom_w, VarNe(0))
+            fresh = VNe(dom_w, VarNe(0))
             return PiNf(quote_type(dom), quote_type(restrict_clo(cod, _UP1)(fresh)))
         case VBool():
             return BoolNf()
@@ -486,11 +477,11 @@ def quote_type(vty: Val) -> Nf:
 
 
 def reflect_context(ctx: Context) -> tuple[Val, ...]:
-    """The environment of reflected variables: Var i becomes unquote(A_i, var i)."""
+    """The environment of reflected variables: Var i becomes VNe(A_i, var i)."""
     env: tuple[Val, ...] = ()
     for entry in ctx.entries:
         vty = eval_term(env, entry)
-        env = (unquote(restrict(vty, _UP1), VarNe(0)),) + tuple(
+        env = (VNe(restrict(vty, _UP1), VarNe(0)),) + tuple(
             restrict(v, _UP1) for v in env
         )
     return env

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import nbe
@@ -148,49 +148,42 @@ def beta_normalize(t: Term, fuel: Optional[int] = None) -> Term:
     return trace.result
 
 
+# the child of each former that whnf reduces when the root is no redex
+_HEAD_FIELD = {
+    App: "fn",
+    ElimBool: "scrut",
+    El: "code",
+    Code: "ty",
+    UnliftTm: "tm",
+    LiftTm: "tm",
+}
+
+
 def whnf(t: Term, fuel: Optional[int] = None) -> Term:
-    """Weak head normal form, enough to expose Pi / Bool / U / Lift / El heads."""
-    if fuel is None:
-        fuel = default_fuel()
-    for _ in range(fuel):
+    """Weak head normal form, enough to expose Pi / Bool / U / Lift / El heads.
+
+    fuel bounds the number of contractions, those under a head included.
+    """
+    return _whnf(t, default_fuel() if fuel is None else fuel)[0]
+
+
+def _whnf(t: Term, fuel: int) -> tuple[Term, int]:
+    """Weak head normal form of t and the fuel left over."""
+    while True:
         r = root_step(t)
         if r is not None:
-            t = r[0]
+            if fuel == 0:
+                raise FuelExhaustedError("whnf ran out of fuel")
+            t, fuel = r[0], fuel - 1
             continue
-        match t:
-            case App(f, a):
-                f2 = whnf(f, fuel)
-                if f2 == f:
-                    return t
-                t = App(f2, a)
-            case ElimBool(m, t1, t2, s):
-                s2 = whnf(s, fuel)
-                if s2 == s:
-                    return t
-                t = ElimBool(m, t1, t2, s2)
-            case El(c):
-                c2 = whnf(c, fuel)
-                if c2 == c:
-                    return t
-                t = El(c2)
-            case Code(a):
-                a2 = whnf(a, fuel)
-                if a2 == a:
-                    return t
-                t = Code(a2)
-            case UnliftTm(x):
-                x2 = whnf(x, fuel)
-                if x2 == x:
-                    return t
-                t = UnliftTm(x2)
-            case LiftTm(x):
-                x2 = whnf(x, fuel)
-                if x2 == x:
-                    return t
-                t = LiftTm(x2)
-            case _:
-                return t
-    raise FuelExhaustedError("whnf ran out of fuel")
+        name = _HEAD_FIELD.get(type(t))
+        if name is None:
+            return t, fuel
+        head = getattr(t, name)
+        head2, left = _whnf(head, fuel)
+        if left == fuel:
+            return t, fuel
+        t, fuel = replace(t, **{name: head2}), left
 
 
 # ---------------------------------------------------------------------------

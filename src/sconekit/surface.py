@@ -51,7 +51,6 @@ class Token:
 
 
 KEYWORDS = {"fun", "elim", "at", "Bool", "true", "false", "El", "code", "Lift", "lift", "unlift"}
-SYMBOLS = ("->", "=>", "(", ")", ":", "|")
 
 
 def tokenize(text: str) -> list[Token]:
@@ -332,9 +331,6 @@ def parse_file_contents(text: str) -> tuple[SurfaceTerm, Optional[SurfaceTerm]]:
 
 # ---------------------------------------------------------------------------
 # Scope resolution
-
-
-_TYPE_FORMERS = (SPi, SBool, SUniv, SEl, SLift)
 
 
 def resolve_type(s: SurfaceTerm, scope: tuple[str, ...] = ()) -> Term:

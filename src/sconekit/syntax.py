@@ -98,11 +98,6 @@ class UnliftTm(Term):
     tm: Term
 
 
-TRUE = TrueTm()
-FALSE = FalseTm()
-BOOL = Bool()
-
-
 def term_size(t: Term) -> int:
     match t:
         case Var(_) | Bool() | TrueTm() | FalseTm() | U(_):
@@ -257,9 +252,6 @@ class Renaming:
         return Renaming(
             self.source, other.target, tuple(self.mapping[i] for i in other.mapping)
         )
-
-    def to_substitution(self) -> "Substitution":
-        return Substitution(self.source, self.target, tuple(Var(i) for i in self.mapping))
 
     def validate(self) -> None:
         """Check index ranges and pointwise type compatibility."""

@@ -11,18 +11,21 @@ from sconekit.syntax import (
     ElimBool,
     FalseTm,
     Lam,
+    Lift,
     LiftTm,
     Pi,
+    ScopeError,
     TrueTm,
     U,
     UnliftTm,
     Var,
 )
-from sconekit import canonicity, oracle, typecheck
+from sconekit import oracle, typecheck
+from sconekit.models import STANDARD, eval_term
 from sconekit.canonicity import (
     BoolWitness,
     CanonicityError,
-    GluingDisplayedModel,
+    GluedValue,
     canon,
     glued_eval,
 )
@@ -81,29 +84,19 @@ def test_glued_eval_first_projection_is_substitution():
     assert gv.sem == BoolWitness.IS_FALSE
 
 
-def test_displayed_model_beta():
-    d = GluingDisplayedModel()
-    body = lambda term, sem: sem
-    f = d.lam_d(body)
-    assert d.app_d(f, TrueTm(), BoolWitness.IS_TRUE) == BoolWitness.IS_TRUE
-
-
-def test_displayed_model_elim():
-    d = GluingDisplayedModel()
-    assert (
-        d.elim_bool_d(None, "t", "f", TrueTm(), d.true_d()) == "t"
-    )
-    assert (
-        d.elim_bool_d(None, "t", "f", FalseTm(), d.false_d()) == "f"
-    )
-
-
 def test_canon_of_nary_application_never_closes(monkeypatch):
     # (fun x1 ... xn => x1) true false ... false
-    def fail_close(env, t):
-        raise AssertionError("canon built a first projection")
+    def fail_read(*args):
+        raise AssertionError("canon read a first projection")
 
-    monkeypatch.setattr(canonicity, "_close", fail_close)
+    init = GluedValue.__init__
+
+    def unreadable(self, term, sem):
+        init(self, term, sem)
+        self.read = fail_read
+
+    monkeypatch.setattr(GluedValue, "term", property(fail_read))
+    monkeypatch.setattr(GluedValue, "__init__", unreadable)
     for n in (100, 200):
         t = Var(n - 1)
         for _ in range(n):
@@ -117,3 +110,30 @@ def test_glued_eval_of_closed_term_projects_to_itself():
     for seed in range(200):
         t = oracle.gen_term(oracle.GenBudget(seed=seed), Context(), Bool())
         assert glued_eval((), t).term == t
+    # closed terms at closed Pi, U and Lift types bind variables and eliminate them
+    binders = 0
+    for seed in range(300):
+        budget = oracle.GenBudget(seed=seed)
+        ty = oracle.gen_type(budget, Context())
+        if not isinstance(ty, (Pi, U, Lift)):
+            continue
+        try:
+            t = oracle.gen_term(budget, Context(), ty)
+        except oracle.NoInhabitantError:
+            continue
+        assert glued_eval((), t).term == t
+        binders += "Var(" in repr(t)
+    assert binders >= 50
+    # a witness applied to a glued value: the body with the value substituted
+    gv = glued_eval((), NEG).sem(GluedValue(TrueTm(), BoolWitness.IS_TRUE))
+    assert gv.term == ElimBool(Bool(), FalseTm(), TrueTm(), TrueTm())
+    assert gv.sem is BoolWitness.IS_FALSE
+
+
+def test_out_of_range_variable_is_a_scope_error():
+    with pytest.raises(ScopeError):
+        eval_term(STANDARD, (True, False), Var(2))
+    with pytest.raises(ScopeError):
+        eval_term(STANDARD, (True, False), Var(4))
+    with pytest.raises(ScopeError):
+        glued_eval((), Var(0))

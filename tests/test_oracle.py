@@ -70,6 +70,18 @@ def test_fuel_exhaustion_is_loud():
         oracle.beta_normalize(omega, fuel=50)
 
 
+def test_whnf_fuel_is_shared_with_nested_heads():
+    # 20 nested elims over 100 identity redexes: 120 contractions in all
+    t = TrueTm()
+    for _ in range(100):
+        t = App(Lam(Var(0)), t)
+    for _ in range(20):
+        t = ElimBool(Bool(), TrueTm(), FalseTm(), t)
+    assert oracle.whnf(t, fuel=120) == TrueTm()
+    with pytest.raises(FuelExhaustedError):
+        oracle.whnf(t, fuel=119)
+
+
 def test_fuel_env_override(monkeypatch):
     monkeypatch.setenv("SCONEKIT_FUEL", "123")
     assert oracle.default_fuel() == 123
