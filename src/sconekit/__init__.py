@@ -4,7 +4,8 @@ Core syntax with de Bruijn indices, a bidirectional typechecker whose
 conversion is decided by normalization by evaluation, a canonicity
 decision procedure by glued evaluation, a syntactic parametricity
 translation, set-valued models, and an independent reduction oracle
-with deterministic term generators.
+with deterministic term generators.  The oracle is not re-exported
+here, so importing the CLI does not load it; import sconekit.oracle.
 """
 
 from .syntax import (
@@ -50,17 +51,6 @@ from .parametricity import (
     param_family,
     param_term,
     translate,
-)
-from .oracle import (
-    FuelExhaustedError,
-    GenBudget,
-    ReductionTrace,
-    gen_context,
-    gen_nf,
-    gen_term,
-    oracle_conv,
-    oracle_norm,
-    reduce,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -9,6 +9,7 @@ beta-normal forms; a neutral is reflected into the value domain as VNe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Callable
 
 from .syntax import (
@@ -477,13 +478,17 @@ def quote_type(vty: Val) -> Nf:
 
 
 def reflect_context(ctx: Context) -> tuple[Val, ...]:
-    """The environment of reflected variables: Var i becomes VNe(A_i, var i)."""
+    """The environment of ctx: a declared Var i becomes VNe(A_i, var i), a
+    defined one its value.  Every entry, declared or defined, weakens the
+    earlier values by one, so a declared index counts later definitions;
+    an entry is evaluated in that weakened environment, which by
+    naturality is the same as weakening its value, and saves a restrict.
+    """
     env: tuple[Val, ...] = ()
-    for entry in ctx.entries:
-        vty = eval_term(env, entry)
-        env = (VNe(restrict(vty, _UP1), VarNe(0)),) + tuple(
-            restrict(v, _UP1) for v in env
-        )
+    for entry, value in zip_longest(ctx.entries, ctx.values):
+        env = tuple(restrict(w, _UP1) for w in env)
+        v = VNe(eval_term(env, entry), VarNe(0)) if value is None else eval_term(env, value)
+        env = (v,) + env
     return env
 
 

@@ -187,11 +187,18 @@ class SUnlift(SurfaceTerm):
 # ---------------------------------------------------------------------------
 # Parser (recursive descent)
 
+# The deepest nesting parse accepts.  Each parenthesis, binder body, elim,
+# arrow codomain and prefix form (El, code, Lift, lift, unlift) opens one
+# level; deeper input raises SurfaceError instead of exhausting the stack
+# here or in a later pass.
+MAX_NESTING = 200
+
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = -1  # the top-level term is at depth 0
 
     def peek(self, ahead: int = 0) -> Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -218,15 +225,22 @@ class _Parser:
         tok = self.peek()
         return tok.text == text and tok.kind in ("symbol", "keyword")
 
+    def _enter(self, tok: Token) -> None:
+        """Open one more level of nesting; the caller closes it on return."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise SurfaceError(f"nested more than {MAX_NESTING} levels deep", tok.line, tok.col)
+
     # term := fun / elim / arrow
     def term(self) -> SurfaceTerm:
         tok = self.peek()
+        self._enter(tok)
         if self.at("fun"):
             self.next()
             name = self.expect_ident()
             self.expect("=>")
-            return SLam(tok.line, tok.col, name.text, self.term())
-        if self.at("elim"):
+            t: SurfaceTerm = SLam(tok.line, tok.col, name.text, self.term())
+        elif self.at("elim"):
             self.next()
             scrut = self.app()
             self.expect("at")
@@ -237,8 +251,11 @@ class _Parser:
             tcase = self.arrow()
             self.expect("|")
             fcase = self.term()
-            return SElim(tok.line, tok.col, scrut, name.text, motive, tcase, fcase)
-        return self.arrow()
+            t = SElim(tok.line, tok.col, scrut, name.text, motive, tcase, fcase)
+        else:
+            t = self.arrow()
+        self.depth -= 1
+        return t
 
     # arrow := app ('->' arrow)?  |  '(' x ':' term ')' '->' arrow
     def arrow(self) -> SurfaceTerm:
@@ -249,17 +266,20 @@ class _Parser:
             and self.peek(2).text == ":"
         ):
             self.next()
-            name = self.expect_ident()
+            name: Optional[str] = self.expect_ident().text
             self.expect(":")
             dom = self.term()
             self.expect(")")
             self.expect("->")
-            return SPi(tok.line, tok.col, name.text, dom, self.arrow())
-        left = self.app()
-        if self.at("->"):
+        else:
+            name, dom = None, self.app()
+            if not self.at("->"):
+                return dom
             self.next()
-            return SPi(tok.line, tok.col, None, left, self.arrow())
-        return left
+        self._enter(tok)
+        cod = self.arrow()
+        self.depth -= 1
+        return SPi(tok.line, tok.col, name, dom, cod)
 
     # app := prefix | atom+
     def app(self) -> SurfaceTerm:
@@ -267,7 +287,10 @@ class _Parser:
         prefixes = {"El": SEl, "code": SCode, "Lift": SLift, "lift": SLiftTm, "unlift": SUnlift}
         if tok.kind == "keyword" and tok.text in prefixes:
             self.next()
-            return prefixes[tok.text](tok.line, tok.col, self.app())
+            self._enter(tok)
+            inner = self.app()
+            self.depth -= 1
+            return prefixes[tok.text](tok.line, tok.col, inner)
         t = self.atom()
         while self._starts_atom():
             arg = self.atom()

@@ -199,15 +199,25 @@ def subst1(t: Term, a: Term) -> Term:
 
 @dataclass(frozen=True)
 class Context:
-    """A telescope of types; entries[-1] is the most recent binder."""
+    """A telescope of types; entries[-1] is the most recent binder.
+
+    values[i] is entry i's definition, a term in the context before it, or
+    None; so is every entry past the end of values, which extend never pads.
+    """
 
     entries: tuple[Term, ...] = ()
+    values: tuple[Term | None, ...] = ()
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def extend(self, ty: Term) -> "Context":
-        return Context(self.entries + (ty,))
+        return Context(self.entries + (ty,), self.values)
+
+    def define(self, ty: Term, value: Term) -> "Context":
+        """Extend by a variable of type ty defined as value."""
+        pad = (None,) * (len(self.entries) - len(self.values))
+        return Context(self.entries + (ty,), self.values + pad + (value,))
 
     def lookup(self, ix: int) -> Term:
         """Type of Var ix, weakened to be well-formed in this context."""

@@ -85,7 +85,6 @@ def test_glued_eval_first_projection_is_substitution():
 
 
 def test_canon_of_nary_application_never_closes(monkeypatch):
-    # (fun x1 ... xn => x1) true false ... false
     def fail_read(*args):
         raise AssertionError("canon read a first projection")
 
@@ -98,12 +97,22 @@ def test_canon_of_nary_application_never_closes(monkeypatch):
     monkeypatch.setattr(GluedValue, "term", property(fail_read))
     monkeypatch.setattr(GluedValue, "__init__", unreadable)
     for n in (100, 200):
-        t = Var(n - 1)
-        for _ in range(n):
-            t = Lam(t)
-        for i in range(n):
-            t = App(t, TrueTm() if i == 0 else FalseTm())
-        assert canon(t) == BoolWitness.IS_TRUE
+        assert canon(_nary(n)) == BoolWitness.IS_TRUE
+
+
+def _nary(n):
+    """(fun x1 ... xn => x1) true false ... false"""
+    t = Var(n - 1)
+    for _ in range(n):
+        t = Lam(t)
+    for i in range(n):
+        t = App(t, TrueTm() if i == 0 else FalseTm())
+    return t
+
+
+def test_canon_of_long_nary_application():
+    # its redexes are bound as definitions, without recursion per argument
+    assert canon(_nary(600)) == BoolWitness.IS_TRUE
 
 
 def test_glued_eval_of_closed_term_projects_to_itself():

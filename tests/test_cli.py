@@ -5,6 +5,7 @@ import json
 import pytest
 
 from sconekit.cli import main
+from sconekit.surface import MAX_NESTING
 
 NEG_TRUE = "(fun b => elim b at _ => Bool | false | true) true"
 CHURCH_ID = "(fun A => fun a => a) : (A : U0) -> A -> A"
@@ -108,3 +109,19 @@ def test_norm_rejects_term_given_as_type(files, capsys):
     assert main(["norm", files("t.tt", "true"), "--type", "true"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_nesting_at_the_limit_answers(files, capsys):
+    path = files("t.tt", "(" * MAX_NESTING + "true" + ")" * MAX_NESTING)
+    for command, out in (("check", "ok : Bool"), ("norm", "true"), ("canon", "true")):
+        assert main([command, path]) == 0
+        assert capsys.readouterr().out.strip() == out
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 3000])
+def test_nesting_past_the_limit_is_a_parse_error(files, capsys, depth):
+    path = files("t.tt", "(" * depth + "true" + ")" * depth)
+    for command in ("check", "norm", "canon"):
+        assert main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: 1:{MAX_NESTING + 2}: ") and err.count("\n") == 1

@@ -132,3 +132,25 @@ def test_open_elim_stays_neutral_with_quoted_parts():
 def test_norm_rejects_ill_scoped_variable():
     with pytest.raises(ScopeError):
         nbe.norm(Context(), Bool(), Var(0))
+
+
+def test_defined_variable_normalizes_to_its_value():
+    assert norm(Context((Bool(),), (TrueTm(),)), Bool(), Var(0)) == TrueNf()
+    # a defined function applies: [f : Bool -> Bool := neg] |- f true ~> false
+    neg = Lam(ElimBool(Bool(), FalseTm(), TrueTm(), Var(0)))
+    ctx = Context().define(Pi(Bool(), Bool()), neg)
+    assert norm(ctx, Bool(), App(Var(0), TrueTm())) == FalseNf()
+
+
+def test_declared_index_counts_later_definitions():
+    # [x : Bool, y : Bool := true]: x stays Var 1 in the normal form
+    ctx = Context((Bool(),)).define(Bool(), TrueTm())
+    assert norm(ctx, Bool(), Var(1)) == NeAtBool(VarNe(1))
+    # [x : Bool, y : Bool := true, z : Bool]: x is Var 2, z is Var 0
+    ctx = ctx.extend(Bool())
+    assert ctx.values == (None, TrueTm())
+    t = ElimBool(Bool(), Var(2), Var(0), Var(1))
+    assert norm(ctx, Bool(), t) == NeAtBool(VarNe(2))
+    # a definition that mentions an earlier declared variable
+    ctx = Context((Bool(),)).define(Bool(), Var(0)).extend(Bool())
+    assert norm(ctx, Bool(), Var(1)) == NeAtBool(VarNe(2))

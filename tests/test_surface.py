@@ -17,6 +17,7 @@ from sconekit.syntax import (
 )
 from sconekit import oracle
 from sconekit.surface import (
+    MAX_NESTING,
     SurfaceError,
     parse,
     parse_file_contents,
@@ -98,3 +99,20 @@ def test_print_parse_roundtrip_on_types():
     for seed in range(100):
         ty = oracle.gen_type(oracle.GenBudget(seed=seed), Context())
         assert resolve_type(parse(pretty(ty))) == ty
+
+
+@pytest.mark.parametrize(
+    "nest",
+    [
+        lambda k: "(" * k + "true" + ")" * k,
+        lambda k: "fun x => " * k + "x",
+        lambda k: "Bool -> " * k + "Bool",
+        lambda k: "(x : " * k + "Bool" + ") -> Bool" * k,
+        lambda k: "lift " * k + "true",
+        lambda k: "elim true at _ => Bool | true | " * k + "false",
+    ],
+)
+def test_nesting_limit_counts_every_construct(nest):
+    parse(nest(MAX_NESTING))
+    with pytest.raises(SurfaceError, match=f"nested more than {MAX_NESTING} levels"):
+        parse(nest(MAX_NESTING + 1))

@@ -1,5 +1,8 @@
 """Kernel typechecker behaviour."""
 
+import dataclasses
+import random
+
 import pytest
 
 from sconekit.syntax import (
@@ -14,12 +17,15 @@ from sconekit.syntax import (
     Lift,
     LiftTm,
     Pi,
+    Term,
     TrueTm,
     U,
     UnliftTm,
     Var,
     rename,
+    shift,
 )
+from sconekit.nbe import norm_type
 from sconekit import oracle, typecheck
 from sconekit.typecheck import (
     LevelError,
@@ -32,6 +38,8 @@ from sconekit.typecheck import (
     infer,
     wf_type,
 )
+
+import reference_typecheck as ref
 
 NEG = Lam(ElimBool(Bool(), FalseTm(), TrueTm(), Var(0)))
 
@@ -179,3 +187,119 @@ def test_check_normalizes_expected_type_a_fixed_number_of_times(monkeypatch):
         check(Context(), *_projection(n))
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def _dup(k):
+    """k nested (fun x => elim x at _ => Bool | x | x) redexes around true."""
+    t = TrueTm()
+    for _ in range(k):
+        t = App(Lam(ElimBool(Bool(), Var(0), Var(0), Var(0))), t)
+    return t
+
+
+def test_redex_checking_grows_linearly_with_nesting(monkeypatch):
+    calls = []
+    infer_ = typecheck.infer
+
+    def counting_infer(*args):
+        calls.append(None)
+        return infer_(*args)
+
+    monkeypatch.setattr(typecheck, "infer", counting_infer)
+    counts = []
+    for k in (10, 20):
+        calls.clear()
+        check(Context(), _dup(k), Bool())
+        counts.append(len(calls))
+    assert counts[1] <= 2.5 * counts[0]
+
+
+def test_nary_redex_binds_every_argument():
+    # (fun x y z => elim y at _ => Bool | x | z) true true false : Bool
+    body = ElimBool(Bool(), Var(2), Var(0), Var(1))
+    t = App(App(App(Lam(Lam(Lam(body))), TrueTm()), TrueTm()), FalseTm())
+    check(Context(), t, Bool())
+    assert infer(Context(), t) == Bool()
+    # a leftover argument is applied to the body: (fun f => f) neg true
+    ctx = Context((Pi(Bool(), Bool()),))
+    assert infer(ctx, App(App(Lam(Var(0)), Var(0)), TrueTm())) == Bool()
+
+
+def test_redex_type_mentions_the_argument():
+    # f : (A : U0) -> El A -> El A |- (fun A => f A) (code Bool) : El (code Bool) -> El (code Bool)
+    ctx = Context((Pi(U(0), Pi(El(Var(0)), El(Var(1)))),))
+    t = App(Lam(App(Var(1), Var(0))), Code(Bool()))
+    assert infer(ctx, t) == Pi(El(Code(Bool())), El(Code(Bool())))
+    check(ctx, App(t, TrueTm()), Bool())
+    with pytest.raises(TypeMismatchError):
+        check(ctx, App(t, Code(Bool())), Bool())
+    # (fun A => fun B => f A) (code Bool) (code (Bool -> Bool)): A, not B, is substituted
+    t2 = App(App(Lam(Lam(App(Var(2), Var(1)))), Code(Bool())), Code(Pi(Bool(), Bool())))
+    assert infer(ctx, t2) == Pi(El(Code(Bool())), El(Code(Bool())))
+
+
+# ---------------------------------------------------------------------------
+# Differential test against the checker that substituted redexes
+
+
+def _subterms(t, path=()):
+    """Every subterm of t, with the path of field names that leads to it."""
+    yield path, t
+    for f in dataclasses.fields(t):
+        child = getattr(t, f.name)
+        if isinstance(child, Term):
+            yield from _subterms(child, path + (f.name,))
+
+
+def _replace(t, path, new):
+    if not path:
+        return new
+    return dataclasses.replace(t, **{path[0]: _replace(getattr(t, path[0]), path[1:], new)})
+
+
+_DUP_BODY = ElimBool(Bool(), Var(0), Var(0), Var(0))
+_MUTATIONS = (
+    lambda s, rng: rng.choice([TrueTm(), FalseTm(), Bool(), U(0), Code(Bool()), Lam(Var(0))]),
+    lambda s, rng: Var(rng.randrange(4)),
+    lambda s, rng: App(Lam(Var(0)), s),
+    lambda s, rng: App(Lam(_DUP_BODY), s),
+    lambda s, rng: App(Lam(shift(s, 1)), rng.choice([TrueTm(), Var(0), Lam(Var(0))])),
+    lambda s, rng: App(App(Lam(Lam(shift(s, 2))), TrueTm()), Code(Bool())),
+    lambda s, rng: App(App(Lam(Var(0)), Lam(Var(0))), s),
+    lambda s, rng: App(s, rng.choice([TrueTm(), Var(0)])),
+)
+
+
+def _outcome(fn):
+    """The result, or the class of the documented error raised; others escape."""
+    try:
+        return ("ok", fn())
+    except (typecheck.TypeCheckError, typecheck.ScopeError) as e:
+        return ("raised", type(e))
+
+
+def test_checker_agrees_with_substituting_reference():
+    verdicts = accepted = redex_mutants = 0
+    for seed in range(200):
+        budget = oracle.GenBudget(seed=seed)
+        try:
+            ctx = oracle.gen_context(budget)
+            ty = oracle.gen_type(budget, ctx)
+            t = oracle.gen_term(budget, ctx, ty)
+        except oracle.NoInhabitantError:
+            continue
+        rng = random.Random(seed)
+        terms = [t]
+        for _ in range(8):
+            path, sub = rng.choice(list(_subterms(t)))
+            mutant = _replace(t, path, rng.choice(_MUTATIONS)(sub, rng))
+            terms.append(mutant)
+            redex_mutants += any(isinstance(s, App) and isinstance(s.fn, Lam) for _, s in _subterms(mutant))
+        for u in terms:
+            got = _outcome(lambda: check(ctx, u, ty))
+            assert got == _outcome(lambda: ref.check(ctx, u, ty)), (seed, u)
+            got_ty = _outcome(lambda: norm_type(ctx, infer(ctx, u)))
+            assert got_ty == _outcome(lambda: norm_type(ctx, ref.infer(ctx, u))), (seed, u)
+            verdicts += 2
+            accepted += (got[0] == "ok") + (got_ty[0] == "ok")
+    assert verdicts >= 3000 and accepted >= 1000 and redex_mutants >= 800, (verdicts, accepted, redex_mutants)
