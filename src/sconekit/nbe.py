@@ -1,9 +1,9 @@
 """Normalization by evaluation.
 
-Semantic values are Kripke families over the category of renamings:
-every value, semantic type and closure supports restriction along a
-renaming of its ambient context.  Quoting produces typed, eta-long
-beta-normal forms; a neutral is reflected into the value domain as VNe.
+Semantic values are Kripke families over the category of renamings: values,
+semantic types and closures restrict along renamings, which happens only
+under binders (a context's environment is built in place).  Quoting produces
+typed, eta-long beta-normal forms; a neutral is reflected as VNe.
 """
 
 from __future__ import annotations
@@ -39,28 +39,28 @@ IxMap = Callable[[int], int]
 # Neutral and normal forms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ne:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Nf:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VarNe(Ne):
     ix: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AppNe(Ne):
     fn: Ne
     arg: Nf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ElimBoolNe(Ne):
     motive: Nf  # binds 1
     tcase: Nf
@@ -68,74 +68,74 @@ class ElimBoolNe(Ne):
     scrut: Ne
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnliftNe(Ne):
     tm: Ne
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LamNf(Nf):
     body: Nf  # binds 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrueNf(Nf):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FalseNf(Nf):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CodeNf(Nf):
     ty: Nf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LiftTmNf(Nf):
     tm: Nf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NeAtBool(Nf):
     ne: Ne
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NeAtEl(Nf):
     ne: Ne
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NeAtU(Nf):
     ne: Ne
 
 
 # normal types
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PiNf(Nf):
     dom: Nf
     cod: Nf  # binds 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoolNf(Nf):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UNf(Nf):
     level: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ElNf(Nf):
     ne: Ne
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LiftNf(Nf):
     ty: Nf
 
@@ -232,12 +232,12 @@ def rename_nf(nf: Nf, f: IxMap) -> Nf:
 # Semantic domain
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Val:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Clo:
     """A term under a captured environment, awaiting one more value."""
 
@@ -248,32 +248,32 @@ class Clo:
         return eval_term((v,) + self.env, self.body)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VLam(Val):
     clo: Clo
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VTrue(Val):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VFalse(Val):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VLiftVal(Val):
     inner: Val
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VCode(Val):
     ty: Val
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VNe(Val):
     """A neutral-backed value, carrying its semantic type for eta."""
 
@@ -281,28 +281,28 @@ class VNe(Val):
     ne: Ne
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VPi(Val):
     dom: Val
     cod: Clo
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VBool(Val):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VU(Val):
     level: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VEl(Val):
     code: Val  # always neutral-backed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VLift(Val):
     ty: Val
 
@@ -478,16 +478,16 @@ def quote_type(vty: Val) -> Nf:
 
 
 def reflect_context(ctx: Context) -> tuple[Val, ...]:
-    """The environment of ctx: a declared Var i becomes VNe(A_i, var i), a
-    defined one its value.  Every entry, declared or defined, weakens the
-    earlier values by one, so a declared index counts later definitions;
-    an entry is evaluated in that weakened environment, which by
-    naturality is the same as weakening its value, and saves a restrict.
+    """The environment of ctx, every value built in the whole context.
+
+    Entry j of n is evaluated in the values built before it: declared, it is
+    VNe(A_j, var n-1-j), so its index counts later definitions; defined, its
+    value.  Nothing is restricted here, only under binders.
     """
     env: tuple[Val, ...] = ()
     for entry, value in zip_longest(ctx.entries, ctx.values):
-        env = tuple(restrict(w, _UP1) for w in env)
-        v = VNe(eval_term(env, entry), VarNe(0)) if value is None else eval_term(env, value)
+        var = VarNe(len(ctx) - len(env) - 1)
+        v = VNe(eval_term(env, entry), var) if value is None else eval_term(env, value)
         env = (v,) + env
     return env
 

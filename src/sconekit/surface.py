@@ -188,9 +188,9 @@ class SUnlift(SurfaceTerm):
 # Parser (recursive descent)
 
 # The deepest nesting parse accepts.  Each parenthesis, binder body, elim,
-# arrow codomain and prefix form (El, code, Lift, lift, unlift) opens one
-# level; deeper input raises SurfaceError instead of exhausting the stack
-# here or in a later pass.
+# arrow codomain, prefix form (El, code, Lift, lift, unlift) and argument of
+# an application spine opens one level; deeper input raises SurfaceError
+# instead of exhausting the stack here or in a later pass.
 MAX_NESTING = 200
 
 
@@ -291,10 +291,11 @@ class _Parser:
             inner = self.app()
             self.depth -= 1
             return prefixes[tok.text](tok.line, tok.col, inner)
-        t = self.atom()
+        t, depth = self.atom(), self.depth
         while self._starts_atom():
-            arg = self.atom()
-            t = SApp(t.line, t.col, t, arg)
+            self._enter(self.peek())
+            t = SApp(t.line, t.col, t, self.atom())
+        self.depth = depth
         return t
 
     def _starts_atom(self) -> bool:

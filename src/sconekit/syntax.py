@@ -18,49 +18,49 @@ class ScopeError(Exception):
 # Terms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Term:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(Term):
     ix: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lam(Term):
     body: Term  # binds 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App(Term):
     fn: Term
     arg: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pi(Term):
     dom: Term
     cod: Term  # binds 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bool(Term):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrueTm(Term):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FalseTm(Term):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ElimBool(Term):
     motive: Term  # binds 1, a type over Bool
     tcase: Term
@@ -68,32 +68,32 @@ class ElimBool(Term):
     scrut: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class U(Term):
     level: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class El(Term):
     code: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Code(Term):
     ty: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lift(Term):
     ty: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LiftTm(Term):
     tm: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnliftTm(Term):
     tm: Term
 
@@ -197,7 +197,7 @@ def subst1(t: Term, a: Term) -> Term:
 # Contexts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Context:
     """A telescope of types; entries[-1] is the most recent binder.
 
@@ -234,7 +234,7 @@ EMPTY = Context()
 # Renamings and substitutions as typed context morphisms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Renaming:
     """A variable-for-variable morphism; mapping[i] is the source index of Var i.
 
@@ -283,7 +283,7 @@ def rename(r: Renaming, t: Term) -> Term:
     return rename_with(t, on_ix)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Substitution:
     """A term-per-entry morphism; terms[i] substitutes Var i.
 

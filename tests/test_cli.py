@@ -125,3 +125,32 @@ def test_nesting_past_the_limit_is_a_parse_error(files, capsys, depth):
         assert main([command, path]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: 1:{MAX_NESTING + 2}: ") and err.count("\n") == 1
+
+
+def test_inferred_lift_past_the_maximum_level_is_a_domain_error(files, capsys):
+    assert main(["check", files("t2.tt", "lift lift true")]) == 0
+    assert capsys.readouterr().out.strip() == "ok : Lift (Lift Bool)"
+    path = files("t3.tt", "lift lift lift true")
+    for command in ("check", "norm", "canon"):
+        assert main([command, path]) == 1
+        assert capsys.readouterr().err == "error: lifted type exceeds maximum level 2\n"
+
+
+def _spine(args):
+    """(fun f => f true ... true) with args arguments, ascribed (Bool -> Bool) -> Bool."""
+    return "(fun f => f" + " true" * args + ") : (Bool -> Bool) -> Bool"
+
+
+def test_spine_at_the_limit_answers(files, capsys):
+    # the parenthesis and the binder body open two levels, each argument one more
+    assert main(["check", files("t.tt", _spine(MAX_NESTING - 2))]) in (0, 1)
+    err = capsys.readouterr().err
+    assert "nested" not in err and err.count("\n") <= 1
+
+
+@pytest.mark.parametrize("args", [MAX_NESTING - 1, 3000])
+def test_spine_past_the_limit_is_a_parse_error(files, capsys, args):
+    assert main(["check", files("t.tt", _spine(args))]) == 2
+    err = capsys.readouterr().err
+    # argument k starts at column 5k + 8, and argument MAX_NESTING - 1 is one too deep
+    assert err.startswith(f"error: 1:{5 * (MAX_NESTING - 1) + 8}: nested more than") and err.count("\n") == 1

@@ -1,7 +1,10 @@
 """Normalization by evaluation: normal forms, eta-expansion, naturality."""
 
+import dataclasses
+
 import pytest
 
+import reference_nbe as ref
 from sconekit.syntax import (
     App,
     Bool,
@@ -22,7 +25,7 @@ from sconekit.syntax import (
     rename,
     shift,
 )
-from sconekit import nbe, oracle, typecheck
+from sconekit import nbe, oracle, syntax, typecheck
 from sconekit.nbe import (
     AppNe,
     BoolNf,
@@ -35,9 +38,12 @@ from sconekit.nbe import (
     PiNf,
     TrueNf,
     VarNe,
+    VNe,
     embed,
     norm,
     norm_type,
+    quote,
+    quote_type,
 )
 
 NEG = Lam(ElimBool(Bool(), FalseTm(), TrueTm(), Var(0)))
@@ -154,3 +160,69 @@ def test_declared_index_counts_later_definitions():
     # a definition that mentions an earlier declared variable
     ctx = Context((Bool(),)).define(Bool(), Var(0)).extend(Bool())
     assert norm(ctx, Bool(), Var(1)) == NeAtBool(VarNe(2))
+
+
+def _compare_with_weakening_reference(ctx):
+    """Both environments of ctx agree variable by variable; returns how many."""
+    got, want = nbe.reflect_context(ctx), ref.reflect_context(ctx)
+    assert len(got) == len(want) == len(ctx)
+    for ix, (v, w) in enumerate(zip(got, want)):
+        vty, wty = (nbe.eval_term(env, ctx.lookup(ix)) for env in (got, want))
+        assert quote_type(vty) == quote_type(wty), (ctx, ix)
+        assert quote(vty, v) == quote(wty, w), (ctx, ix)
+        if isinstance(w, VNe):
+            assert isinstance(v, VNe) and quote_type(v.vty) == quote_type(w.vty), (ctx, ix)
+    return len(ctx)
+
+
+def test_context_environment_agrees_with_weakening_reference():
+    variables = defined = 0
+    for seed in range(200):
+        budget = oracle.GenBudget(seed=seed)
+        ctx = oracle.gen_context(budget)
+        variables += _compare_with_weakening_reference(ctx)
+        small = oracle.GenBudget(seed=seed, max_term_size=6)  # keeps the test under 3 s
+        try:
+            ty = oracle.gen_type(small, ctx)
+            ctx = ctx.define(ty, oracle.gen_term(small, ctx, ty))
+        except oracle.NoInhabitantError:
+            continue
+        variables += _compare_with_weakening_reference(ctx)
+        ctx = ctx.extend(oracle.gen_type(small, ctx))
+        variables += _compare_with_weakening_reference(ctx)
+        defined += 1
+    assert defined >= 150 and variables >= 1000
+
+
+def test_context_environment_is_built_without_restricting(monkeypatch):
+    calls = {"restrict": 0, "eval_term": 0}
+    for name in calls:
+        original = getattr(nbe, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(nbe, name, counting)
+    evals = []
+    for n in (200, 400):
+        calls.update(restrict=0, eval_term=0)
+        assert norm(Context((Bool(),) * n), Bool(), Var(n - 1)) == NeAtBool(VarNe(n - 1))
+        assert calls["restrict"] == 0
+        evals.append(calls["eval_term"])
+    assert evals[1] <= 2.2 * evals[0]
+
+
+def test_node_classes_are_slotted_dataclasses():
+    bases = (syntax.Term, nbe.Ne, nbe.Nf, nbe.Val)
+    classes = [
+        cls
+        for module in (syntax, nbe)
+        for cls in vars(module).values()
+        if isinstance(cls, type) and issubclass(cls, bases) and cls not in bases
+    ]
+    assert len(classes) >= 40
+    for cls in classes:
+        assert dataclasses.is_dataclass(cls), cls
+        node = cls(*[None] * len(dataclasses.fields(cls)))
+        assert not hasattr(node, "__dict__"), cls

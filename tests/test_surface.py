@@ -110,6 +110,7 @@ def test_print_parse_roundtrip_on_types():
         lambda k: "(x : " * k + "Bool" + ") -> Bool" * k,
         lambda k: "lift " * k + "true",
         lambda k: "elim true at _ => Bool | true | " * k + "false",
+        lambda k: "f" + " x" * k,
     ],
 )
 def test_nesting_limit_counts_every_construct(nest):

@@ -97,6 +97,12 @@ def test_lift_rules():
         infer(ctx, UnliftTm(TrueTm()))
 
 
+def test_inferred_lift_past_the_maximum_level_is_rejected():
+    assert infer(Context(), LiftTm(LiftTm(TrueTm()))) == Lift(Lift(Bool()))
+    with pytest.raises(LevelError, match="lifted type exceeds maximum level 2"):
+        infer(Context(), LiftTm(LiftTm(LiftTm(TrueTm()))))
+
+
 def test_elim_bool_motive_instantiation():
     # motive selecting different types per branch
     motive = ElimBool(U(0), Code(Bool()), Code(Pi(Bool(), Bool())), Var(0))
