@@ -13,6 +13,7 @@ from .syntax import (
     Bool,
     Code,
     Context,
+    DepthError,
     El,
     ElimBool,
     FalseTm,
@@ -34,7 +35,7 @@ from .syntax import (
     subst1,
     term_size,
 )
-from .nbe import Ne, Nf, embed, norm, norm_type
+from .nbe import IllTypedError, Ne, Nf, embed, norm, norm_type
 from .typecheck import (
     TypeCheckError,
     TypeMismatchError,

@@ -18,7 +18,6 @@ projections only when read, so `canon` never builds a term.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Any, Callable
 
 from . import typecheck
@@ -28,6 +27,7 @@ from .syntax import (
     Bool,
     Code,
     Context,
+    DepthError,
     El,
     ElimBool,
     FalseTm,
@@ -40,6 +40,7 @@ from .syntax import (
     U,
     UnliftTm,
     Var,
+    node,
 )
 
 
@@ -81,23 +82,23 @@ class GluedValue:
         return f"GluedValue(term={self.term!r}, sem={self.sem!r})"
 
 
-@dataclass(frozen=True)
+@node
 class CBool:
     pass
 
 
-@dataclass(frozen=True)
+@node
 class CU:
     level: int
 
 
-@dataclass(frozen=True, eq=False)
+@node(eq=False)
 class CPi:
     dom: GluedValue
     cod: Callable[[GluedValue], GluedValue]
 
 
-@dataclass(frozen=True, eq=False)
+@node(eq=False)
 class CLift:
     inner: GluedValue
 
@@ -189,8 +190,11 @@ def glued_eval(env: tuple[GluedValue, ...], t: Term) -> GluedValue:
 
 def canon(t: Term, max_level: int = typecheck.DEFAULT_MAX_LEVEL) -> BoolWitness:
     """For a closed boolean term, decide which canonical form it equals."""
-    typecheck.check(Context(), t, Bool(), max_level)
-    witness = glued_eval((), t).sem
+    try:
+        typecheck.check(Context(), t, Bool(), max_level)
+        witness = glued_eval((), t).sem
+    except RecursionError:
+        raise DepthError from None
     if not isinstance(witness, BoolWitness):
         raise CanonicityError(f"non-boolean witness {witness!r}")
     return witness

@@ -13,7 +13,7 @@ from typing import Optional
 
 from . import canonicity, nbe, parametricity, typecheck
 from .surface import SurfaceError, parse, parse_file_contents, pretty, resolve_term, resolve_type
-from .syntax import Context, Term
+from .syntax import Context, DepthError, Term
 
 
 class UsageError(Exception):
@@ -182,6 +182,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         parametricity.ParametricityError,
     ) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except RecursionError:  # a DepthError, or a deep normal form in embed or pretty
+        print(f"error: {DepthError()}", file=sys.stderr)
         return 1
 
 

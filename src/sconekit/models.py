@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from .syntax import (
@@ -32,6 +31,7 @@ from .syntax import (
     U,
     UnliftTm,
     Var,
+    node,
 )
 
 
@@ -157,23 +157,23 @@ def eval_context(model: Model, entries: Sequence[Term]) -> list[tuple]:
 # The standard (set-valued) model
 
 
-@dataclass(frozen=True)
+@node
 class SBool:
     pass
 
 
-@dataclass(frozen=True)
+@node
 class SU:
     level: int
 
 
-@dataclass(frozen=True, eq=False)
+@node(eq=False)
 class SPi:
     dom: Any
     cod: Callable[[Any], Any]
 
 
-@dataclass(frozen=True, eq=False)
+@node(eq=False)
 class SLift:
     inner: Any
 

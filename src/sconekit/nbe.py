@@ -8,7 +8,6 @@ typed, eta-long beta-normal forms; a neutral is reflected as VNe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Callable
 
@@ -17,6 +16,7 @@ from .syntax import (
     Bool,
     Code,
     Context,
+    DepthError,
     El,
     ElimBool,
     FalseTm,
@@ -30,37 +30,46 @@ from .syntax import (
     U,
     UnliftTm,
     Var,
+    node,
 )
 
 IxMap = Callable[[int], int]
+
+
+class IllTypedError(TypeError):
+    """Evaluation or quotation met a value of the wrong shape.
+
+    The input was not well typed in its context, or a context entry is not
+    a type; norm, norm_type and check raise it on such input.
+    """
 
 
 # ---------------------------------------------------------------------------
 # Neutral and normal forms
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Ne:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Nf:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class VarNe(Ne):
     ix: int
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class AppNe(Ne):
     fn: Ne
     arg: Nf
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class ElimBoolNe(Ne):
     motive: Nf  # binds 1
     tcase: Nf
@@ -68,74 +77,74 @@ class ElimBoolNe(Ne):
     scrut: Ne
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class UnliftNe(Ne):
     tm: Ne
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class LamNf(Nf):
     body: Nf  # binds 1
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class TrueNf(Nf):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class FalseNf(Nf):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class CodeNf(Nf):
     ty: Nf
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class LiftTmNf(Nf):
     tm: Nf
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class NeAtBool(Nf):
     ne: Ne
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class NeAtEl(Nf):
     ne: Ne
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class NeAtU(Nf):
     ne: Ne
 
 
 # normal types
-@dataclass(frozen=True, slots=True)
+@node
 class PiNf(Nf):
     dom: Nf
     cod: Nf  # binds 1
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class BoolNf(Nf):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class UNf(Nf):
     level: int
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class ElNf(Nf):
     ne: Ne
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class LiftNf(Nf):
     ty: Nf
 
@@ -150,7 +159,7 @@ def embed_ne(ne: Ne) -> Term:
             return ElimBool(embed(m), embed(t), embed(f), embed_ne(s))
         case UnliftNe(t):
             return UnliftTm(embed_ne(t))
-    raise TypeError(f"unknown neutral {ne!r}")
+    raise IllTypedError(f"unknown neutral {ne!r}")
 
 
 def embed(nf: Nf) -> Term:
@@ -178,7 +187,7 @@ def embed(nf: Nf) -> Term:
             return El(embed_ne(ne))
         case LiftNf(t):
             return Lift(embed(t))
-    raise TypeError(f"unknown normal form {nf!r}")
+    raise IllTypedError(f"unknown normal form {nf!r}")
 
 
 def _lift_ix(f: IxMap) -> IxMap:
@@ -200,7 +209,7 @@ def rename_ne(ne: Ne, f: IxMap) -> Ne:
             )
         case UnliftNe(t):
             return UnliftNe(rename_ne(t, f))
-    raise TypeError(f"unknown neutral {ne!r}")
+    raise IllTypedError(f"unknown neutral {ne!r}")
 
 
 def rename_nf(nf: Nf, f: IxMap) -> Nf:
@@ -225,19 +234,19 @@ def rename_nf(nf: Nf, f: IxMap) -> Nf:
             return ElNf(rename_ne(ne, f))
         case LiftNf(t):
             return LiftNf(rename_nf(t, f))
-    raise TypeError(f"unknown normal form {nf!r}")
+    raise IllTypedError(f"unknown normal form {nf!r}")
 
 
 # ---------------------------------------------------------------------------
 # Semantic domain
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Val:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Clo:
     """A term under a captured environment, awaiting one more value."""
 
@@ -248,32 +257,32 @@ class Clo:
         return eval_term((v,) + self.env, self.body)
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class VLam(Val):
     clo: Clo
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class VTrue(Val):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class VFalse(Val):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class VLiftVal(Val):
     inner: Val
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class VCode(Val):
     ty: Val
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class VNe(Val):
     """A neutral-backed value, carrying its semantic type for eta."""
 
@@ -281,28 +290,28 @@ class VNe(Val):
     ne: Ne
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class VPi(Val):
     dom: Val
     cod: Clo
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class VBool(Val):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class VU(Val):
     level: int
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class VEl(Val):
     code: Val  # always neutral-backed
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class VLift(Val):
     ty: Val
 
@@ -329,7 +338,7 @@ def restrict(v: Val, f: IxMap) -> Val:
             return VEl(restrict(code, f))
         case VLift(ty):
             return VLift(restrict(ty, f))
-    raise TypeError(f"unknown value {v!r}")
+    raise IllTypedError(f"unknown value {v!r}")
 
 
 def restrict_clo(clo: Clo, f: IxMap) -> Clo:
@@ -346,7 +355,7 @@ def apply_val(fn: Val, arg: Val) -> Val:
             return clo(arg)
         case VNe(VPi(dom, cod), ne):
             return VNe(cod(arg), AppNe(ne, quote(dom, arg)))
-    raise TypeError(f"cannot apply non-function value {fn!r}")
+    raise IllTypedError(f"cannot apply non-function value {fn!r}")
 
 
 def eval_term(env: tuple[Val, ...], t: Term) -> Val:
@@ -392,8 +401,8 @@ def eval_term(env: tuple[Val, ...], t: Term) -> Val:
                 return v.inner
             if isinstance(v, VNe) and isinstance(v.vty, VLift):
                 return VNe(v.vty.ty, UnliftNe(v.ne))
-            raise TypeError(f"cannot unlift {v!r}")
-    raise TypeError(f"unknown term {t!r}")
+            raise IllTypedError(f"cannot unlift {v!r}")
+    raise IllTypedError(f"unknown term {t!r}")
 
 
 def _elim_bool(motive: Clo, vt: Val, vf: Val, scrut: Val) -> Val:
@@ -414,7 +423,7 @@ def _elim_bool(motive: Clo, vt: Val, vf: Val, scrut: Val) -> Val:
                     ne,
                 ),
             )
-    raise TypeError(f"boolean eliminator applied to {scrut!r}")
+    raise IllTypedError(f"boolean eliminator applied to {scrut!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +461,7 @@ def quote(vty: Val, v: Val) -> Nf:
                     return LiftTmNf(quote(inner, w))
                 case VNe(_, ne):
                     return LiftTmNf(quote(inner, VNe(inner, UnliftNe(ne))))
-    raise TypeError(f"cannot quote {v!r} at type {vty!r}")
+    raise IllTypedError(f"cannot quote {v!r} at type {vty!r}")
 
 
 def quote_type(vty: Val) -> Nf:
@@ -470,7 +479,7 @@ def quote_type(vty: Val) -> Nf:
                 return ElNf(code.ne)
         case VLift(inner):
             return LiftNf(quote_type(inner))
-    raise TypeError(f"cannot quote type value {vty!r}")
+    raise IllTypedError(f"cannot quote type value {vty!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -494,9 +503,15 @@ def reflect_context(ctx: Context) -> tuple[Val, ...]:
 
 def norm(ctx: Context, ty: Term, t: Term) -> Nf:
     """Normalize a well-typed term: quote its value at its evaluated type."""
-    env = reflect_context(ctx)
-    return quote(eval_term(env, ty), eval_term(env, t))
+    try:
+        env = reflect_context(ctx)
+        return quote(eval_term(env, ty), eval_term(env, t))
+    except RecursionError:
+        raise DepthError from None
 
 
 def norm_type(ctx: Context, ty: Term) -> Nf:
-    return quote_type(eval_term(reflect_context(ctx), ty))
+    try:
+        return quote_type(eval_term(reflect_context(ctx), ty))
+    except RecursionError:
+        raise DepthError from None

@@ -12,7 +12,6 @@ the witness t* with every Var i re-pointed into the doubled context.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from . import typecheck
 from .syntax import (
@@ -33,6 +32,7 @@ from .syntax import (
     UnliftTm,
     Var,
     _map_vars,
+    node,
     shift,
     subst_with,
 )
@@ -116,7 +116,7 @@ def param_family(ty: Term) -> Term:
     raise ParametricityError(f"{ty} is not a type in the fragment")
 
 
-@dataclass(frozen=True)
+@node
 class ParamResult:
     subject: Term
     subject_type: Term

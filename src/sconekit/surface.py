@@ -9,7 +9,6 @@ print-then-parse a syntactic fixpoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import (
@@ -28,6 +27,7 @@ from .syntax import (
     U,
     UnliftTm,
     Var,
+    node,
 )
 
 
@@ -42,7 +42,7 @@ class SurfaceError(Exception):
 # Lexer
 
 
-@dataclass(frozen=True)
+@node
 class Token:
     kind: str  # ident, keyword, symbol, eof
     text: str
@@ -100,52 +100,52 @@ def tokenize(text: str) -> list[Token]:
 # Surface trees
 
 
-@dataclass(frozen=True)
+@node
 class SurfaceTerm:
     line: int
     col: int
 
 
-@dataclass(frozen=True)
+@node
 class SVar(SurfaceTerm):
     name: str
 
 
-@dataclass(frozen=True)
+@node
 class SLam(SurfaceTerm):
     name: str
     body: SurfaceTerm
 
 
-@dataclass(frozen=True)
+@node
 class SApp(SurfaceTerm):
     fn: SurfaceTerm
     arg: SurfaceTerm
 
 
-@dataclass(frozen=True)
+@node
 class SPi(SurfaceTerm):
     name: Optional[str]  # None for the A -> B sugar
     dom: SurfaceTerm
     cod: SurfaceTerm
 
 
-@dataclass(frozen=True)
+@node
 class SBool(SurfaceTerm):
     pass
 
 
-@dataclass(frozen=True)
+@node
 class STrue(SurfaceTerm):
     pass
 
 
-@dataclass(frozen=True)
+@node
 class SFalse(SurfaceTerm):
     pass
 
 
-@dataclass(frozen=True)
+@node
 class SElim(SurfaceTerm):
     scrut: SurfaceTerm
     motive_name: str
@@ -154,32 +154,32 @@ class SElim(SurfaceTerm):
     fcase: SurfaceTerm
 
 
-@dataclass(frozen=True)
+@node
 class SUniv(SurfaceTerm):
     level: int
 
 
-@dataclass(frozen=True)
+@node
 class SEl(SurfaceTerm):
     code: SurfaceTerm
 
 
-@dataclass(frozen=True)
+@node
 class SCode(SurfaceTerm):
     ty: SurfaceTerm
 
 
-@dataclass(frozen=True)
+@node
 class SLift(SurfaceTerm):
     ty: SurfaceTerm
 
 
-@dataclass(frozen=True)
+@node
 class SLiftTm(SurfaceTerm):
     tm: SurfaceTerm
 
 
-@dataclass(frozen=True)
+@node
 class SUnlift(SurfaceTerm):
     tm: SurfaceTerm
 

@@ -6,7 +6,8 @@ separates them.  All structures are immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, FrozenInstanceError, dataclass
+from functools import cache
 from typing import Callable, Sequence
 
 
@@ -14,53 +15,145 @@ class ScopeError(Exception):
     """A variable index escapes its context."""
 
 
+class DepthError(RecursionError):
+    """A term is nested too deeply for the recursion limit.
+
+    check, conv, norm, norm_type and canon raise it instead of a bare
+    RecursionError; sys.setrecursionlimit raises the limit.
+    """
+
+    def __init__(self, message: str = "term nested too deeply for the recursion limit") -> None:
+        super().__init__(message)
+
+
+# ---------------------------------------------------------------------------
+# Node classes
+
+
+class _Node:
+    """The base of every node class: instances are frozen."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __getstate__(self):
+        return [getattr(self, name) for name in self.__match_args__]
+
+    def __setstate__(self, state):
+        for name, value in zip(self.__match_args__, state):
+            object.__setattr__(self, name, value)
+
+
+def node(cls=None, /, *, eq=True):
+    """Make cls a frozen, slotted node class, like @dataclass(frozen=True, slots=True).
+
+    The fields are the annotations, inherited ones first, and a class
+    attribute is a default.  The class is rebuilt with __slots__ on _Node,
+    and __init__, __repr__ and, unless eq is False, __eq__ and __hash__ over
+    the field tuple are bound to it by one exec of code compiled once per
+    field layout.  Then dataclass(init=False, repr=False, eq=False) only
+    registers the fields, so dataclasses.fields and replace work.
+    """
+    if cls is None:
+        return lambda cls: _make_node(cls, eq)
+    return _make_node(cls, eq)
+
+
+def _make_node(cls, eq):
+    own = tuple(cls.__dict__.get("__annotations__", ()))
+    params = [(f.name, f.type, f.default) for f in getattr(cls, "__dataclass_fields__", {}).values()]
+    params += [(n, cls.__annotations__[n], cls.__dict__.get(n, MISSING)) for n in own]
+    if cls.__doc__ is None:  # dataclass would call inspect.signature to write this one
+        sig = ", ".join(f"{n}: {t!r}" + ("" if d is MISSING else f" = {d!r}") for n, t, d in params)
+        cls.__doc__ = f"{cls.__name__}({sig})"
+    dataclass(init=False, repr=False, eq=False)(cls)
+    names = tuple(n for n, _, _ in params)
+    ns = {k: v for k, v in cls.__dict__.items() if k not in own + ("__dict__", "__weakref__")}
+    ns.update(__slots__=own, __match_args__=names, __qualname__=cls.__qualname__)
+    new = type(cls.__name__, cls.__bases__ if cls.__bases__ != (object,) else (_Node,), ns)
+    defaults = {n: d for n, _, d in params if d is not MISSING}
+    env = {f"_set_{n}": getattr(new, n).__set__ for n in names}
+    env.update((f"_default_{n}", d) for n, d in defaults.items())
+    exec(_node_code(names, tuple(defaults), eq), env)
+    for name in ("__init__", "__repr__", "__eq__", "__hash__"):
+        if name in env:
+            env[name].__qualname__ = f"{new.__qualname__}.{name}"
+            setattr(new, name, env[name])
+    return new
+
+
+@cache
+def _node_code(names, defaulted, eq):
+    """The methods of a node class with these fields; the class's env binds _set_*/_default_*."""
+    self_t = "(" + "".join(f"self.{n}," for n in names) + ")"
+    other_t = "(" + "".join(f"other.{n}," for n in names) + ")"
+    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+    src = f'def __repr__(self):\n return f"{{self.__class__.__qualname__}}({shown})"\n'
+    if names:  # a class without fields keeps object.__init__
+        args = ", ".join(f"{n}=_default_{n}" if n in defaulted else n for n in names)
+        body = "".join(f" _set_{n}(self, {n})\n" for n in names)
+        src += f"def __init__(self, {args}):\n{body}"
+    if eq:
+        src += (
+            f"def __eq__(self, other):\n if other.__class__ is self.__class__:\n"
+            f"  return {self_t} == {other_t}\n return NotImplemented\n"
+            f"def __hash__(self):\n return hash({self_t})\n"
+        )
+    return compile(src, "<node>", "exec")
+
+
 # ---------------------------------------------------------------------------
 # Terms
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Term:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Var(Term):
     ix: int
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Lam(Term):
     body: Term  # binds 1
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class App(Term):
     fn: Term
     arg: Term
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Pi(Term):
     dom: Term
     cod: Term  # binds 1
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Bool(Term):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class TrueTm(Term):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class FalseTm(Term):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class ElimBool(Term):
     motive: Term  # binds 1, a type over Bool
     tcase: Term
@@ -68,32 +161,32 @@ class ElimBool(Term):
     scrut: Term
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class U(Term):
     level: int
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class El(Term):
     code: Term
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Code(Term):
     ty: Term
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Lift(Term):
     ty: Term
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class LiftTm(Term):
     tm: Term
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class UnliftTm(Term):
     tm: Term
 
@@ -197,7 +290,7 @@ def subst1(t: Term, a: Term) -> Term:
 # Contexts
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Context:
     """A telescope of types; entries[-1] is the most recent binder.
 
@@ -234,7 +327,7 @@ EMPTY = Context()
 # Renamings and substitutions as typed context morphisms
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Renaming:
     """A variable-for-variable morphism; mapping[i] is the source index of Var i.
 
@@ -283,7 +376,7 @@ def rename(r: Renaming, t: Term) -> Term:
     return rename_with(t, on_ix)
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Substitution:
     """A term-per-entry morphism; terms[i] substitutes Var i.
 

@@ -8,6 +8,7 @@ from .syntax import (
     Bool,
     Code,
     Context,
+    DepthError,
     El,
     ElimBool,
     FalseTm,
@@ -155,8 +156,11 @@ def check(ctx: Context, t: Term, ty: Term, max_level: int = DEFAULT_MAX_LEVEL) -
     ty is validated with wf_type and normalized once; the recursion then
     works on the normal form.
     """
-    wf_type(ctx, ty, max_level)
-    _check(ctx, t, _norm_ty(ctx, ty), max_level)
+    try:
+        wf_type(ctx, ty, max_level)
+        _check(ctx, t, _norm_ty(ctx, ty), max_level)
+    except RecursionError:
+        raise DepthError from None
 
 
 def _check(ctx: Context, t: Term, expected: Term, max_level: int) -> None:
@@ -191,9 +195,12 @@ def conv_types(ctx: Context, a: Term, b: Term, max_level: int = DEFAULT_MAX_LEVE
 
 def conv(ctx: Context, ty: Term, a: Term, b: Term, max_level: int = DEFAULT_MAX_LEVEL) -> bool:
     """Decide conversion of a and b at type ty via normal-form equality."""
-    check(ctx, a, ty, max_level)
-    check(ctx, b, ty, max_level)
-    return norm(ctx, ty, a) == norm(ctx, ty, b)
+    try:
+        check(ctx, a, ty, max_level)
+        check(ctx, b, ty, max_level)
+        return norm(ctx, ty, a) == norm(ctx, ty, b)
+    except RecursionError:  # also comparing two deep normal forms
+        raise DepthError from None
 
 
 __all__ = [
@@ -203,6 +210,7 @@ __all__ = [
     "NotInferableError",
     "LevelError",
     "ScopeError",
+    "DepthError",
     "wf_type",
     "check_context",
     "infer",

@@ -1,11 +1,16 @@
 """Command-line interface: subcommands, exit codes, JSON output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from sconekit.cli import main
 from sconekit.surface import MAX_NESTING
+from test_errors import EXPONENTIAL
 
 NEG_TRUE = "(fun b => elim b at _ => Bool | false | true) true"
 CHURCH_ID = "(fun A => fun a => a) : (A : U0) -> A -> A"
@@ -154,3 +159,37 @@ def test_spine_past_the_limit_is_a_parse_error(files, capsys, args):
     err = capsys.readouterr().err
     # argument k starts at column 5k + 8, and argument MAX_NESTING - 1 is one too deep
     assert err.startswith(f"error: 1:{5 * (MAX_NESTING - 1) + 8}: nested more than") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["norm", "conv"])
+def test_deep_normal_form_is_a_domain_error(files, capsys, command):
+    path = files("t.tt", EXPONENTIAL)
+    assert main([command, path] + ([path] if command == "conv" else [])) == 1
+    err = capsys.readouterr().err
+    assert err == "error: term nested too deeply for the recursion limit\n"
+
+
+# Counts compile events, one per module compiled from source and one per
+# generated method set, during `import sconekit.cli` in a fresh interpreter.
+_STARTUP_PROBE = """
+import sys
+compiled = 0
+def hook(event, args):
+    global compiled
+    if event == "compile":
+        compiled += 1
+sys.addaudithook(hook)
+import sconekit.cli
+print(compiled, "sconekit.oracle" in sys.modules)
+"""
+
+
+def test_cli_import_compiles_little_and_skips_the_oracle():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_PROBE], env=env, capture_output=True, text=True, check=True
+    )
+    compiled, oracle_loaded = proc.stdout.split()
+    assert int(compiled) <= 120
+    assert oracle_loaded == "False"

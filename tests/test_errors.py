@@ -1,0 +1,73 @@
+"""Documented errors at the public boundary: ill-typed input and deep terms."""
+
+import pytest
+
+import sconekit
+from sconekit import DepthError, IllTypedError
+from sconekit.canonicity import canon
+from sconekit.nbe import norm, norm_type
+from sconekit.surface import parse_file_contents, resolve_term, resolve_type
+from sconekit.syntax import App, Bool, Code, Context, El, Lam, TrueTm, Var
+from sconekit.typecheck import check, conv
+
+DEPTH = 3000
+# twice applied to itself 12 times: a 12-deep term with a 4,096-deep normal form
+EXPONENTIAL = (
+    "(fun t => fun f => fun x => (t (t (t (t (t (t (t (t (t (t (t (t f)))))))))))) x)"
+    " (elim true at _ => (Bool -> Bool) -> Bool -> Bool | (fun g => fun y => g (g y)) | (fun g => g))"
+    " : (Bool -> Bool) -> Bool -> Bool"
+)
+
+
+def _nested_identity(t, n=DEPTH):
+    """(fun x => x) ((fun x => x) (... t)), n redexes deep."""
+    for _ in range(n):
+        t = App(Lam(Var(0)), t)
+    return t
+
+
+def _nary(n):
+    """(fun x1 ... xn => x1) true ... true: checked as lets, so only evaluation recurses n deep."""
+    t = Var(n - 1)
+    for _ in range(n):
+        t = Lam(t)
+    for _ in range(n):
+        t = App(t, TrueTm())
+    return t
+
+
+def test_error_classes_are_exported_and_compatible():
+    assert sconekit.IllTypedError is IllTypedError and issubclass(IllTypedError, TypeError)
+    assert sconekit.DepthError is DepthError and issubclass(DepthError, RecursionError)
+
+
+def test_check_in_a_context_whose_entry_is_no_type():
+    with pytest.raises(IllTypedError, match="cannot quote type value VTrue"):
+        check(Context((TrueTm(),)), Var(0), Bool())
+
+
+def test_norm_of_an_ill_typed_term():
+    with pytest.raises(IllTypedError, match="cannot quote VLam"):
+        norm(Context(), Bool(), Lam(Var(0)))
+
+
+DEEP = _nested_identity(TrueTm())
+_exp_term, _exp_ty = parse_file_contents(EXPONENTIAL)
+EXP_TERM, EXP_TY = resolve_term(_exp_term), resolve_type(_exp_ty)
+ENTRY_POINTS = {
+    "check": lambda: check(Context(), DEEP, Bool()),
+    "conv": lambda: conv(Context(), Bool(), DEEP, TrueTm()),
+    "norm": lambda: norm(Context(), Bool(), DEEP),
+    "norm_type": lambda: norm_type(Context(), El(_nested_identity(Code(Bool())))),
+    "canon": lambda: canon(DEEP),
+    "canon past the checker": lambda: canon(_nary(DEPTH)),
+    "conv of deep normal forms": lambda: conv(Context(), EXP_TY, EXP_TERM, EXP_TERM),
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_deep_term_is_a_depth_error(name):
+    with pytest.raises(DepthError, match="nested too deeply") as info:
+        ENTRY_POINTS[name]()
+    assert info.type is DepthError and info.value.__cause__ is None
+
