@@ -1,9 +1,10 @@
-"""Normalization by evaluation.
+"""Normalization by evaluation, with neutrals at de Bruijn levels.
 
-Semantic values are Kripke families over the category of renamings: values,
-semantic types and closures restrict along renamings, which happens only
-under binders (a context's environment is built in place).  Quoting produces
-typed, eta-long beta-normal forms; a neutral is reflected as VNe.
+The ambient context's variable of index i sits at level -1-i, and the
+binder that quote opens at depth d at level d.  So a value keeps its
+meaning under new binders and nothing is ever weakened.  A stuck value
+keeps its spine unquoted; quote reads it back at its depth, level l as
+index depth-1-l, and yields typed, eta-long beta-normal forms.
 """
 
 from __future__ import annotations
@@ -40,7 +41,9 @@ class IllTypedError(TypeError):
     """Evaluation or quotation met a value of the wrong shape.
 
     The input was not well typed in its context, or a context entry is not
-    a type; norm, norm_type and check raise it on such input.
+    a type; norm, norm_type and check raise it on such input.  The argument
+    of a stuck application and the branches of a stuck eliminator are read
+    only by quote: an ill-typed one raises there, or never if discarded.
     """
 
 
@@ -201,12 +204,7 @@ def rename_ne(ne: Ne, f: IxMap) -> Ne:
         case AppNe(fn, arg):
             return AppNe(rename_ne(fn, f), rename_nf(arg, f))
         case ElimBoolNe(m, t, fc, s):
-            return ElimBoolNe(
-                rename_nf(m, _lift_ix(f)),
-                rename_nf(t, f),
-                rename_nf(fc, f),
-                rename_ne(s, f),
-            )
+            return ElimBoolNe(rename_nf(m, _lift_ix(f)), rename_nf(t, f), rename_nf(fc, f), rename_ne(s, f))
         case UnliftNe(t):
             return UnliftNe(rename_ne(t, f))
     raise IllTypedError(f"unknown neutral {ne!r}")
@@ -218,22 +216,12 @@ def rename_nf(nf: Nf, f: IxMap) -> Nf:
             return LamNf(rename_nf(b, _lift_ix(f)))
         case TrueNf() | FalseNf() | BoolNf() | UNf(_):
             return nf
-        case CodeNf(t):
-            return CodeNf(rename_nf(t, f))
-        case LiftTmNf(t):
-            return LiftTmNf(rename_nf(t, f))
-        case NeAtBool(ne):
-            return NeAtBool(rename_ne(ne, f))
-        case NeAtEl(ne):
-            return NeAtEl(rename_ne(ne, f))
-        case NeAtU(ne):
-            return NeAtU(rename_ne(ne, f))
+        case CodeNf(t) | LiftTmNf(t) | LiftNf(t):
+            return type(nf)(rename_nf(t, f))
+        case NeAtBool(ne) | NeAtEl(ne) | NeAtU(ne) | ElNf(ne):
+            return type(nf)(rename_ne(ne, f))
         case PiNf(d, c):
             return PiNf(rename_nf(d, f), rename_nf(c, _lift_ix(f)))
-        case ElNf(ne):
-            return ElNf(rename_ne(ne, f))
-        case LiftNf(t):
-            return LiftNf(rename_nf(t, f))
     raise IllTypedError(f"unknown normal form {nf!r}")
 
 
@@ -284,10 +272,10 @@ class VCode(Val):
 
 @node
 class VNe(Val):
-    """A neutral-backed value, carrying its semantic type for eta."""
+    """A stuck value: a semantic neutral (a level, or a frame around one) and its type, for eta."""
 
     vty: Val
-    ne: Ne
+    ne: SemNe
 
 
 @node
@@ -316,33 +304,52 @@ class VLift(Val):
     ty: Val
 
 
-_UP1: IxMap = lambda i: i + 1
+@node
+class AppFrame:
+    """The neutral ne applied to arg, a value of type dom."""
+
+    ne: SemNe
+    arg: Val
+    dom: Val
+
+
+@node
+class ElimFrame:
+    """The boolean eliminator with motive and branches, stuck on ne."""
+
+    ne: SemNe
+    motive: Clo
+    tcase: Val
+    fcase: Val
+
+
+@node
+class UnliftFrame:
+    ne: SemNe
+
+
+SemNe = int | AppFrame | ElimFrame | UnliftFrame
 
 
 def restrict(v: Val, f: IxMap) -> Val:
-    """Restrict a value along a renaming of its ambient context."""
-    match v:
-        case VLam(clo):
-            return VLam(restrict_clo(clo, f))
-        case VTrue() | VFalse() | VBool() | VU(_):
-            return v
-        case VLiftVal(inner):
-            return VLiftVal(restrict(inner, f))
-        case VCode(ty):
-            return VCode(restrict(ty, f))
-        case VNe(vty, ne):
-            return VNe(restrict(vty, f), rename_ne(ne, f))
-        case VPi(dom, cod):
-            return VPi(restrict(dom, f), restrict_clo(cod, f))
-        case VEl(code):
-            return VEl(restrict(code, f))
-        case VLift(ty):
-            return VLift(restrict(ty, f))
-    raise IllTypedError(f"unknown value {v!r}")
+    """Rename v's ambient-context variables along f, a map on their indices.
 
+    Index i sits at level -1-i and moves to level -1-f(i); every int in a
+    value but VU's level is a level.  Values need no weakening under
+    binders, so the kernel never calls this.
+    """
 
-def restrict_clo(clo: Clo, f: IxMap) -> Clo:
-    return Clo(tuple(restrict(v, f) for v in clo.env), clo.body)
+    def go(x):
+        match x:
+            case int():
+                return -1 - f(-1 - x)
+            case tuple():
+                return tuple(map(go, x))
+            case Term() | VU():
+                return x
+        return type(x)(*[go(getattr(x, name)) for name in x.__match_args__])
+
+    return go(v)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +361,7 @@ def apply_val(fn: Val, arg: Val) -> Val:
         case VLam(clo):
             return clo(arg)
         case VNe(VPi(dom, cod), ne):
-            return VNe(cod(arg), AppNe(ne, quote(dom, arg)))
+            return VNe(cod(arg), AppFrame(ne, arg, dom))
     raise IllTypedError(f"cannot apply non-function value {fn!r}")
 
 
@@ -383,14 +390,10 @@ def eval_term(env: tuple[Val, ...], t: Term) -> Val:
             return VU(level)
         case El(c):
             cv = eval_term(env, c)
-            if isinstance(cv, VCode):
-                return cv.ty
-            return VEl(cv)
+            return cv.ty if isinstance(cv, VCode) else VEl(cv)
         case Code(a):
             av = eval_term(env, a)
-            if isinstance(av, VEl):
-                return av.code
-            return VCode(av)
+            return av.code if isinstance(av, VEl) else VCode(av)
         case Lift(a):
             return VLift(eval_term(env, a))
         case LiftTm(tm):
@@ -400,7 +403,7 @@ def eval_term(env: tuple[Val, ...], t: Term) -> Val:
             if isinstance(v, VLiftVal):
                 return v.inner
             if isinstance(v, VNe) and isinstance(v.vty, VLift):
-                return VNe(v.vty.ty, UnliftNe(v.ne))
+                return VNe(v.vty.ty, UnliftFrame(v.ne))
             raise IllTypedError(f"cannot unlift {v!r}")
     raise IllTypedError(f"unknown term {t!r}")
 
@@ -412,32 +415,20 @@ def _elim_bool(motive: Clo, vt: Val, vf: Val, scrut: Val) -> Val:
         case VFalse():
             return vf
         case VNe(_, ne):
-            motive_w = restrict_clo(motive, _UP1)
-            motive_nf = quote_type(motive_w(VNe(VBool(), VarNe(0))))
-            return VNe(
-                motive(scrut),
-                ElimBoolNe(
-                    motive_nf,
-                    quote(motive(VTrue()), vt),
-                    quote(motive(VFalse()), vf),
-                    ne,
-                ),
-            )
+            return VNe(motive(scrut), ElimFrame(ne, motive, vt, vf))
     raise IllTypedError(f"boolean eliminator applied to {scrut!r}")
 
 
 # ---------------------------------------------------------------------------
-# Quote
+# Quote: under depth binders, level l reads back as index depth-1-l
 
 
-def quote(vty: Val, v: Val) -> Nf:
-    """Reify a value as a typed eta-long normal form."""
+def quote(vty: Val, v: Val, depth: int = 0) -> Nf:
+    """Reify a value as a typed eta-long normal form under depth binders."""
     match vty:
         case VPi(dom, cod):
-            dom_w = restrict(dom, _UP1)
-            fresh = VNe(dom_w, VarNe(0))
-            body = apply_val(restrict(v, _UP1), fresh)
-            return LamNf(quote(restrict_clo(cod, _UP1)(fresh), body))
+            fresh = VNe(dom, depth)
+            return LamNf(quote(cod(fresh), apply_val(v, fresh), depth + 1))
         case VBool():
             match v:
                 case VTrue():
@@ -445,41 +436,53 @@ def quote(vty: Val, v: Val) -> Nf:
                 case VFalse():
                     return FalseNf()
                 case VNe(_, ne):
-                    return NeAtBool(ne)
+                    return NeAtBool(quote_ne(ne, depth))
         case VU(_):
             match v:
                 case VCode(ty):
-                    return CodeNf(quote_type(ty))
+                    return CodeNf(quote_type(ty, depth))
                 case VNe(_, ne):
-                    return NeAtU(ne)
-        case VEl(_):
-            if isinstance(v, VNe):
-                return NeAtEl(v.ne)
+                    return NeAtU(quote_ne(ne, depth))
+        case VEl(_) if isinstance(v, VNe):
+            return NeAtEl(quote_ne(v.ne, depth))
         case VLift(inner):
             match v:
                 case VLiftVal(w):
-                    return LiftTmNf(quote(inner, w))
+                    return LiftTmNf(quote(inner, w, depth))
                 case VNe(_, ne):
-                    return LiftTmNf(quote(inner, VNe(inner, UnliftNe(ne))))
+                    return LiftTmNf(quote(inner, VNe(inner, UnliftFrame(ne)), depth))
     raise IllTypedError(f"cannot quote {v!r} at type {vty!r}")
 
 
-def quote_type(vty: Val) -> Nf:
+def quote_type(vty: Val, depth: int = 0) -> Nf:
     match vty:
         case VPi(dom, cod):
-            dom_w = restrict(dom, _UP1)
-            fresh = VNe(dom_w, VarNe(0))
-            return PiNf(quote_type(dom), quote_type(restrict_clo(cod, _UP1)(fresh)))
+            return PiNf(quote_type(dom, depth), quote_type(cod(VNe(dom, depth)), depth + 1))
         case VBool():
             return BoolNf()
         case VU(level):
             return UNf(level)
-        case VEl(code):
-            if isinstance(code, VNe):
-                return ElNf(code.ne)
+        case VEl(VNe(_, ne)):
+            return ElNf(quote_ne(ne, depth))
         case VLift(inner):
-            return LiftNf(quote_type(inner))
+            return LiftNf(quote_type(inner, depth))
     raise IllTypedError(f"cannot quote type value {vty!r}")
+
+
+def quote_ne(ne: SemNe, depth: int) -> Ne:
+    """Read a semantic neutral back, innermost frame first."""
+    match ne:
+        case int():
+            return VarNe(depth - 1 - ne)
+        case AppFrame(fn, arg, dom):
+            return AppNe(quote_ne(fn, depth), quote(dom, arg, depth))
+        case ElimFrame(scrut, motive, vt, vf):
+            scrut_ne, motive_nf = quote_ne(scrut, depth), quote_type(motive(VNe(VBool(), depth)), depth + 1)
+            tcase, fcase = quote(motive(VTrue()), vt, depth), quote(motive(VFalse()), vf, depth)
+            return ElimBoolNe(motive_nf, tcase, fcase, scrut_ne)
+        case UnliftFrame(t):
+            return UnliftNe(quote_ne(t, depth))
+    raise IllTypedError(f"unknown neutral {ne!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -487,16 +490,13 @@ def quote_type(vty: Val) -> Nf:
 
 
 def reflect_context(ctx: Context) -> tuple[Val, ...]:
-    """The environment of ctx, every value built in the whole context.
+    """The environment of ctx, each entry evaluated in the values before it.
 
-    Entry j of n is evaluated in the values built before it: declared, it is
-    VNe(A_j, var n-1-j), so its index counts later definitions; defined, its
-    value.  Nothing is restricted here, only under binders.
+    Declared entry j of n is the neutral at level j-n (index n-1-j).
     """
     env: tuple[Val, ...] = ()
     for entry, value in zip_longest(ctx.entries, ctx.values):
-        var = VarNe(len(ctx) - len(env) - 1)
-        v = VNe(eval_term(env, entry), var) if value is None else eval_term(env, value)
+        v = VNe(eval_term(env, entry), len(env) - len(ctx)) if value is None else eval_term(env, value)
         env = (v,) + env
     return env
 

@@ -1,10 +1,12 @@
 """Normalization by evaluation: normal forms, eta-expansion, naturality."""
 
 import dataclasses
+import sys
 
 import pytest
 
 import reference_nbe as ref
+from sconekit.surface import parse_file_contents, resolve_term, resolve_type
 from sconekit.syntax import (
     App,
     Bool,
@@ -30,13 +32,18 @@ from sconekit.nbe import (
     AppNe,
     BoolNf,
     CodeNf,
+    ElimBoolNe,
+    ElNf,
     FalseNf,
     LamNf,
     LiftTmNf,
     NeAtBool,
+    NeAtEl,
     NeAtU,
     PiNf,
     TrueNf,
+    UNf,
+    UnliftNe,
     VarNe,
     VNe,
     embed,
@@ -167,11 +174,11 @@ def _compare_with_weakening_reference(ctx):
     got, want = nbe.reflect_context(ctx), ref.reflect_context(ctx)
     assert len(got) == len(want) == len(ctx)
     for ix, (v, w) in enumerate(zip(got, want)):
-        vty, wty = (nbe.eval_term(env, ctx.lookup(ix)) for env in (got, want))
-        assert quote_type(vty) == quote_type(wty), (ctx, ix)
-        assert quote(vty, v) == quote(wty, w), (ctx, ix)
-        if isinstance(w, VNe):
-            assert isinstance(v, VNe) and quote_type(v.vty) == quote_type(w.vty), (ctx, ix)
+        vty, wty = nbe.eval_term(got, ctx.lookup(ix)), ref.eval_term(want, ctx.lookup(ix))
+        assert quote_type(vty) == ref.quote_type(wty), (ctx, ix)
+        assert quote(vty, v) == ref.quote(wty, w), (ctx, ix)
+        if isinstance(w, ref.VNe):
+            assert isinstance(v, VNe) and quote_type(v.vty) == ref.quote_type(w.vty), (ctx, ix)
     return len(ctx)
 
 
@@ -226,3 +233,155 @@ def test_node_classes_are_slotted_dataclasses():
         assert dataclasses.is_dataclass(cls), cls
         node = cls(*[None] * len(dataclasses.fields(cls)))
         assert not hasattr(node, "__dict__"), cls
+
+
+def test_norm_agrees_with_index_reference():
+    terms = opened = 0
+    for seed in range(400):
+        budget = oracle.GenBudget(seed=seed)
+        try:
+            ctx = oracle.gen_context(budget)
+            ty = oracle.gen_type(budget, ctx)
+            t = oracle.gen_term(budget, ctx, ty)
+            typecheck.check(ctx, t, ty)
+        except (oracle.NoInhabitantError, typecheck.TypeCheckError):
+            continue
+        assert norm(ctx, ty, t) == ref.norm(ctx, ty, t), (ctx, ty, t)
+        assert norm_type(ctx, ty) == ref.norm_type(ctx, ty), (ctx, ty)
+        terms += 1
+        opened += len(ctx) > 0
+    assert terms >= 300 and opened >= 200
+
+
+def _count_calls(monkeypatch, names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(nbe, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(nbe, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("operation", ["norm", "check"])
+def test_binder_family_work_grows_linearly(monkeypatch, operation):
+    """fun x1 ... xn => x1 at Bool -> ... -> Bool: nothing is re-weakened under a binder."""
+    calls = _count_calls(monkeypatch, ("eval_term", "quote", "quote_type", "restrict"))
+    work = []
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 5000))  # each counted call adds a frame to a 400-deep quote
+    try:
+        for n in (200, 400):
+            t, ty = Var(n - 1), Bool()
+            for _ in range(n):
+                t, ty = Lam(t), Pi(Bool(), ty)
+            calls.update(dict.fromkeys(calls, 0))
+            if operation == "norm":
+                nf = norm(Context(), ty, t)
+                for _ in range(n):
+                    nf = nf.body
+                assert nf == NeAtBool(VarNe(n - 1))
+            else:
+                typecheck.check(Context(), t, ty)
+            assert calls["restrict"] == 0
+            work.append(calls["eval_term"] + calls["quote"] + calls["quote_type"])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert work[1] <= 2.2 * work[0], work
+
+
+def _open(text, scope):
+    """The term and type of `term : type`, resolved with scope's names, innermost first."""
+    term, ty = parse_file_contents(text)
+    return resolve_term(term, scope), resolve_type(ty, scope)
+
+
+def _read_back(ctx, text, scope):
+    t, ty = _open(text, scope)
+    typecheck.check(ctx, t, ty)
+    nf = norm(ctx, ty, t)
+    assert nf == ref.norm(ctx, ty, t)
+    return nf
+
+
+def test_context_variable_under_nested_binders():
+    nf = _read_back(Context((Bool(),)), "(fun y => fun z => x) : Bool -> Bool -> Bool", ("x",))
+    assert nf == LamNf(LamNf(NeAtBool(VarNe(2))))
+
+
+def test_stuck_elim_motive_is_read_under_its_own_binder():
+    # [c : U0, x : El c]; the motive mentions its variable z, the bound y and c
+    ctx = Context((U(0), El(Var(0))))
+    motive = "El (elim z at _ => U0 | c | (elim y at _ => U0 | c | code Bool))"
+    text = (
+        f"(fun y => fun s => elim s at z => {motive} | x"
+        " | (elim y at w => El (elim w at _ => U0 | c | code Bool) | x | true))"
+        f" : (y : Bool) -> (s : Bool) -> {motive.replace('z', 's')}"
+    )
+    nf = _read_back(ctx, text, ("x", "c"))
+    c_under_motive = NeAtU(VarNe(4))
+    motive_nf = ElNf(
+        ElimBoolNe(UNf(0), c_under_motive, NeAtU(ElimBoolNe(UNf(0), c_under_motive, CodeNf(BoolNf()), VarNe(2))), VarNe(0))
+    )
+    fcase = ElimBoolNe(
+        ElNf(ElimBoolNe(UNf(0), c_under_motive, CodeNf(BoolNf()), VarNe(0))), NeAtEl(VarNe(2)), TrueNf(), VarNe(1)
+    )
+    assert nf == LamNf(LamNf(NeAtEl(ElimBoolNe(motive_nf, NeAtEl(VarNe(2)), NeAtEl(fcase), VarNe(0)))))
+
+
+def test_neutral_applied_to_a_function_is_read_back_at_its_depth():
+    # [f : (Bool -> Bool) -> Bool, g : Bool -> Bool]
+    ctx = Context((Pi(Pi(Bool(), Bool()), Bool()), Pi(Bool(), Bool())))
+    scope = ("g", "f")
+    g_eta = LamNf(NeAtBool(AppNe(VarNe(2), NeAtBool(VarNe(0)))))  # g under y and the new binder
+    nf = _read_back(ctx, "(fun y => f g) : Bool -> Bool", scope)
+    assert nf == LamNf(NeAtBool(AppNe(VarNe(2), g_eta)))
+    nf = _read_back(ctx, "(fun y => f (fun z => elim z at _ => Bool | y | g z)) : Bool -> Bool", scope)
+    body = ElimBoolNe(BoolNf(), NeAtBool(VarNe(1)), NeAtBool(AppNe(VarNe(2), NeAtBool(VarNe(0)))), VarNe(0))
+    assert nf == LamNf(NeAtBool(AppNe(VarNe(2), LamNf(NeAtBool(body)))))
+
+
+def test_neutrals_at_lift_el_and_u():
+    # [A : U0, a : El A, l : Lift Bool]
+    ctx = Context((U(0), El(Var(0)), Lift(Bool())))
+    scope = ("l", "a", "A")
+    assert _read_back(ctx, "A : U0", scope) == NeAtU(VarNe(2))
+    assert _read_back(ctx, "a : A", scope) == NeAtEl(VarNe(1))
+    assert _read_back(ctx, "l : Lift Bool", scope) == LiftTmNf(NeAtBool(UnliftNe(VarNe(0))))
+    nf = _read_back(ctx, "(fun y => fun b => l) : (y : A) -> Bool -> Lift Bool", scope)
+    assert nf == LamNf(LamNf(LiftTmNf(NeAtBool(UnliftNe(VarNe(2))))))
+    _, ty = _open("true : (y : A) -> (B : U0) -> B -> A", scope)
+    assert norm_type(ctx, ty) == PiNf(ElNf(VarNe(2)), PiNf(UNf(0), PiNf(ElNf(VarNe(0)), ElNf(VarNe(5)))))
+
+
+def test_restrict_is_natural_with_rename_nf():
+    checked = 0
+    for seed in range(80):
+        budget = oracle.GenBudget(seed=seed)
+        try:
+            ctx = oracle.gen_context(budget)
+            ty = oracle.gen_type(budget, ctx)
+            t = oracle.gen_term(budget, ctx, ty)
+        except oracle.NoInhabitantError:
+            continue
+        r = oracle.gen_renaming(budget, ctx)
+        f = lambda i: r.mapping[i]  # noqa: E731
+        env = nbe.reflect_context(ctx)
+        vty, v = nbe.eval_term(env, ty), nbe.eval_term(env, t)
+        want = nbe.rename_nf(norm(ctx, ty, t), f)
+        assert quote(nbe.restrict(vty, f), nbe.restrict(v, f)) == want, (ctx, ty, t, r)
+        assert quote_type(nbe.restrict(vty, f)) == nbe.rename_nf(norm_type(ctx, ty), f)
+        checked += len(ctx) > 0
+    assert checked >= 40
+
+
+def test_ill_typed_argument_of_a_stuck_application_raises_when_read_back():
+    # [f : Bool -> Bool] |- f (fun x => x): the argument stays a value until quote reads it
+    ctx = Context((Pi(Bool(), Bool()),))
+    bad = App(Var(0), Lam(Var(0)))
+    with pytest.raises(nbe.IllTypedError, match="cannot quote VLam"):
+        norm(ctx, Bool(), bad)
+    assert norm(ctx, Bool(), ElimBool(Bool(), TrueTm(), bad, TrueTm())) == TrueNf()

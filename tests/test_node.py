@@ -38,7 +38,7 @@ def _args(cls, tag):
 
 
 def test_every_node_class_is_found():
-    assert len(NODE_CLASSES) == 75
+    assert len(NODE_CLASSES) == 78
     assert IDENTITY <= set(NODE_CLASSES)
 
 
