@@ -27,7 +27,6 @@ from .syntax import (
     Bool,
     Code,
     Context,
-    DepthError,
     El,
     ElimBool,
     FalseTm,
@@ -40,6 +39,7 @@ from .syntax import (
     U,
     UnliftTm,
     Var,
+    depth_guarded,
     node,
 )
 
@@ -188,13 +188,11 @@ def glued_eval(env: tuple[GluedValue, ...], t: Term) -> GluedValue:
     return eval_term(GLUED, env, t)
 
 
+@depth_guarded
 def canon(t: Term, max_level: int = typecheck.DEFAULT_MAX_LEVEL) -> BoolWitness:
     """For a closed boolean term, decide which canonical form it equals."""
-    try:
-        typecheck.check(Context(), t, Bool(), max_level)
-        witness = glued_eval((), t).sem
-    except RecursionError:
-        raise DepthError from None
+    typecheck.check(Context(), t, Bool(), max_level)
+    witness = glued_eval((), t).sem
     if not isinstance(witness, BoolWitness):
         raise CanonicityError(f"non-boolean witness {witness!r}")
     return witness

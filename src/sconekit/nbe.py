@@ -17,7 +17,6 @@ from .syntax import (
     Bool,
     Code,
     Context,
-    DepthError,
     El,
     ElimBool,
     FalseTm,
@@ -31,6 +30,7 @@ from .syntax import (
     U,
     UnliftTm,
     Var,
+    depth_guarded,
     node,
 )
 
@@ -489,29 +489,27 @@ def quote_ne(ne: SemNe, depth: int) -> Ne:
 # Normalization
 
 
-def reflect_context(ctx: Context) -> tuple[Val, ...]:
+def reflect_context(ctx: Context, env: tuple[Val, ...] = (), base: int | None = None) -> tuple[Val, ...]:
     """The environment of ctx, each entry evaluated in the values before it.
 
-    Declared entry j of n is the neutral at level j-n (index n-1-j).
+    Declared entry j of n is the neutral at level j-base, and base defaults
+    to n (index n-1-j).  env, the environment of ctx's first len(env)
+    entries, is extended by the rest.
     """
-    env: tuple[Val, ...] = ()
-    for entry, value in zip_longest(ctx.entries, ctx.values):
-        v = VNe(eval_term(env, entry), len(env) - len(ctx)) if value is None else eval_term(env, value)
+    base, done = len(ctx) if base is None else base, len(env)
+    for entry, value in zip_longest(ctx.entries[done:], ctx.values[done:]):
+        v = VNe(eval_term(env, entry), len(env) - base) if value is None else eval_term(env, value)
         env = (v,) + env
     return env
 
 
+@depth_guarded
 def norm(ctx: Context, ty: Term, t: Term) -> Nf:
     """Normalize a well-typed term: quote its value at its evaluated type."""
-    try:
-        env = reflect_context(ctx)
-        return quote(eval_term(env, ty), eval_term(env, t))
-    except RecursionError:
-        raise DepthError from None
+    env = reflect_context(ctx)
+    return quote(eval_term(env, ty), eval_term(env, t))
 
 
+@depth_guarded
 def norm_type(ctx: Context, ty: Term) -> Nf:
-    try:
-        return quote_type(eval_term(reflect_context(ctx), ty))
-    except RecursionError:
-        raise DepthError from None
+    return quote_type(eval_term(reflect_context(ctx), ty))

@@ -7,7 +7,7 @@ separates them.  All structures are immutable.
 from __future__ import annotations
 
 from dataclasses import MISSING, FrozenInstanceError, dataclass
-from functools import cache
+from functools import cache, wraps
 from typing import Callable, Sequence
 
 
@@ -18,12 +18,26 @@ class ScopeError(Exception):
 class DepthError(RecursionError):
     """A term is nested too deeply for the recursion limit.
 
-    check, conv, norm, norm_type and canon raise it instead of a bare
-    RecursionError; sys.setrecursionlimit raises the limit.
+    The public entry points of typecheck, norm, norm_type and canon raise
+    it instead of a bare RecursionError; sys.setrecursionlimit raises the
+    limit.
     """
 
     def __init__(self, message: str = "term nested too deeply for the recursion limit") -> None:
         super().__init__(message)
+
+
+def depth_guarded(entry: Callable) -> Callable:
+    """entry, raising DepthError in place of any RecursionError it meets."""
+
+    @wraps(entry)
+    def guarded(*args, **kwargs):
+        try:
+            return entry(*args, **kwargs)
+        except RecursionError:
+            raise DepthError from None
+
+    return guarded
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +220,24 @@ def term_size(t: Term) -> int:
         case El(c) | Code(c) | Lift(c) | LiftTm(c) | UnliftTm(c):
             return 1 + term_size(c)
     raise TypeError(f"unknown term {t!r}")
+
+
+def is_closed(t: Term, depth: int = 0) -> bool:
+    """Whether t, under depth binders, has no free variable."""
+    match t:
+        case Var(ix):
+            return ix < depth
+        case Lam(b):
+            return is_closed(b, depth + 1)
+        case App(f, a):
+            return is_closed(f, depth) and is_closed(a, depth)
+        case Pi(d, c):
+            return is_closed(d, depth) and is_closed(c, depth + 1)
+        case ElimBool(m, t1, t2, s):
+            return is_closed(m, depth + 1) and is_closed(t1, depth) and is_closed(t2, depth) and is_closed(s, depth)
+        case El(c) | Code(c) | Lift(c) | LiftTm(c) | UnliftTm(c):
+            return is_closed(c, depth)
+    return True
 
 
 # ---------------------------------------------------------------------------

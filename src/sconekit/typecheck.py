@@ -1,8 +1,13 @@
-"""Bidirectional typechecking: head redexes are checked as lets, conversion by normal forms."""
+"""Bidirectional typechecking: head redexes are checked as lets, conversion by normal forms.
+
+Each public call carries one NbE environment for its context through the
+recursion, extended at each binder and definition it opens.
+"""
 
 from __future__ import annotations
 
-from .nbe import embed, norm, norm_type
+from . import nbe
+from .nbe import norm_type  # noqa: F401  kept as typecheck.norm_type, which a test patches
 from .syntax import (
     App,
     Bool,
@@ -22,6 +27,8 @@ from .syntax import (
     U,
     UnliftTm,
     Var,
+    depth_guarded,
+    is_closed,
     shift,
     subst1,
     subst_with,
@@ -46,48 +53,83 @@ class LevelError(TypeCheckError):
     pass
 
 
-def _norm_ty(ctx: Context, ty: Term) -> Term:
-    return embed(norm_type(ctx, ty))
+class _Scope:
+    """A context, the scope it extends by one entry (None for the caller's
+    context), and the NbE environment of a prefix of the context.
+
+    Entry j sits at level j, so quote reads it back at depth len(ctx) as it
+    reads its own binders.  Only a type with a free variable makes the
+    environment catch up, outer scopes first; a closed type reads none.
+    """
+
+    __slots__ = ("ctx", "outer", "env")
+
+    def __init__(self, ctx: Context, outer: _Scope | None = None) -> None:
+        self.ctx, self.outer, self.env = ctx, outer, ()
+
+    def extend(self, ty: Term, value: Term | None = None) -> _Scope:
+        return _Scope(self.ctx.extend(ty) if value is None else self.ctx.define(ty, value), self)
+
+    def reflect(self) -> tuple:
+        """The whole context's environment; a loop, as k let-bound arguments chain k scopes."""
+        stale, scope = [], self
+        while scope is not None and len(scope.env) < len(scope.ctx):
+            stale.append(scope)
+            scope = scope.outer
+        env = () if scope is None else scope.env
+        for scope in reversed(stale):
+            scope.env = env = nbe.reflect_context(scope.ctx, env, 0)
+        return env
+
+    def norm(self, ty: Term) -> Term:
+        env = self.env if len(self.env) == len(self.ctx) or is_closed(ty) else self.reflect()
+        return nbe.embed(nbe.quote_type(nbe.eval_term(env, ty), len(self.ctx)))
 
 
-def wf_type(ctx: Context, ty: Term, max_level: int = DEFAULT_MAX_LEVEL) -> int:
-    """Check that ty is a well-formed type in ctx; return its universe level."""
+def _wf_type(scope: _Scope, ty: Term, max_level: int) -> int:
     match ty:
         case Bool():
             return 0
         case Pi(dom, cod):
-            i = wf_type(ctx, dom, max_level)
-            j = wf_type(ctx.extend(dom), cod, max_level)
+            i = _wf_type(scope, dom, max_level)
+            j = _wf_type(scope.extend(dom), cod, max_level)
             return max(i, j)
         case U(level):
             if not 0 <= level < max_level:
                 raise LevelError(f"universe level {level} exceeds maximum {max_level - 1}")
             return level + 1
         case El(code):
-            cty = _norm_ty(ctx, infer(ctx, code, max_level))
+            cty = scope.norm(_infer(scope, code, max_level))
             if isinstance(cty, U):
                 return cty.level
             raise TypeMismatchError(f"El expects a universe code, got a term of type {cty}")
         case Lift(inner):
-            i = wf_type(ctx, inner, max_level) + 1
+            i = _wf_type(scope, inner, max_level) + 1
             if i > max_level:
                 raise LevelError(f"lifted type exceeds maximum level {max_level}")
             return i
     raise TypeMismatchError(f"{ty} is not a type")
 
 
+@depth_guarded
+def wf_type(ctx: Context, ty: Term, max_level: int = DEFAULT_MAX_LEVEL) -> int:
+    """Check that ty is a well-formed type in ctx; return its universe level."""
+    return _wf_type(_Scope(ctx), ty, max_level)
+
+
+@depth_guarded
 def check_context(ctx: Context, max_level: int = DEFAULT_MAX_LEVEL) -> None:
-    prefix = Context()
+    scope = _Scope(Context())
     for entry in ctx.entries:
-        wf_type(prefix, entry, max_level)
-        prefix = prefix.extend(entry)
+        _wf_type(scope, entry, max_level)
+        scope = scope.extend(entry)
 
 
-def _bind_head(ctx: Context, t: Term, max_level: int) -> tuple[Context, Term, list[Term]] | None:
+def _bind_head(scope: _Scope, t: Term, max_level: int) -> tuple[_Scope, Term, list[Term]] | None:
     """Bind the beta-redexes at the head of an application spine as a let.
 
     (fun x1 ... xk => b) a1 ... ak c... becomes b c... in ctx, x1 := a1, ...,
-    xk := ak; returns that context, b c... and [a1, ..., ak], or None if the
+    xk := ak; returns that scope, b c... and [a1, ..., ak], or None if the
     head is no lambda.  Each argument must be inferable; it is inferred once,
     in ctx and in order, and never copied into the body.
     """
@@ -97,49 +139,48 @@ def _bind_head(ctx: Context, t: Term, max_level: int) -> tuple[Context, Term, li
         head = head.fn
     if not isinstance(head, Lam):
         return None
-    inner, args = ctx, []
+    inner, args = scope, []
     while spine and isinstance(head, Lam):
         arg, head, i = spine.pop(), head.body, len(args)
-        inner = inner.define(shift(infer(ctx, arg, max_level), i), shift(arg, i))
+        inner = inner.extend(shift(_infer(scope, arg, max_level), i), shift(arg, i))
         args.append(arg)
     for arg in reversed(spine):
         head = App(head, shift(arg, len(args)))
     return inner, head, args
 
 
-def infer(ctx: Context, t: Term, max_level: int = DEFAULT_MAX_LEVEL) -> Term:
-    """Synthesize a type for t; the result is well-formed in ctx."""
+def _infer(scope: _Scope, t: Term, max_level: int) -> Term:
     match t:
         case Var(ix):
-            return ctx.lookup(ix)
+            return scope.ctx.lookup(ix)
         case TrueTm() | FalseTm():
             return Bool()
         case App(fn, arg):
-            if (bound := _bind_head(ctx, t, max_level)) is not None:
+            if (bound := _bind_head(scope, t, max_level)) is not None:
                 inner, body, args = bound
-                return subst_with(infer(inner, body, max_level), args[::-1])
-            fty = _norm_ty(ctx, infer(ctx, fn, max_level))
+                return subst_with(_infer(inner, body, max_level), args[::-1])
+            fty = scope.norm(_infer(scope, fn, max_level))
             if not isinstance(fty, Pi):
                 raise TypeMismatchError(f"{fty} is not a Π-type")
-            _check(ctx, arg, fty.dom, max_level)
+            _check(scope, arg, fty.dom, max_level)
             return subst1(fty.cod, arg)
         case ElimBool(motive, tcase, fcase, scrut):
-            _check(ctx, scrut, Bool(), max_level)
-            wf_type(ctx.extend(Bool()), motive, max_level)
-            _check(ctx, tcase, _norm_ty(ctx, subst1(motive, TrueTm())), max_level)
-            _check(ctx, fcase, _norm_ty(ctx, subst1(motive, FalseTm())), max_level)
+            _check(scope, scrut, Bool(), max_level)
+            _wf_type(scope.extend(Bool()), motive, max_level)
+            _check(scope, tcase, scope.norm(subst1(motive, TrueTm())), max_level)
+            _check(scope, fcase, scope.norm(subst1(motive, FalseTm())), max_level)
             return subst1(motive, scrut)
         case Code(ty):
-            i = wf_type(ctx, ty, max_level)
+            i = _wf_type(scope, ty, max_level)
             if i >= max_level:
                 raise LevelError(f"no universe holds a code for a level-{i} type")
             return U(i)
         case LiftTm(tm):
-            lifted = Lift(infer(ctx, tm, max_level))
-            wf_type(ctx, lifted, max_level)  # a LevelError past max_level
+            lifted = Lift(_infer(scope, tm, max_level))
+            _wf_type(scope, lifted, max_level)  # a LevelError past max_level
             return lifted
         case UnliftTm(tm):
-            ity = _norm_ty(ctx, infer(ctx, tm, max_level))
+            ity = scope.norm(_infer(scope, tm, max_level))
             if isinstance(ity, Lift):
                 return ity.ty
             raise TypeMismatchError(f"unlift expects a lifted term, got type {ity}")
@@ -150,20 +191,25 @@ def infer(ctx: Context, t: Term, max_level: int = DEFAULT_MAX_LEVEL) -> Term:
     raise TypeCheckError(f"unknown term {t!r}")
 
 
+@depth_guarded
+def infer(ctx: Context, t: Term, max_level: int = DEFAULT_MAX_LEVEL) -> Term:
+    """Synthesize a type for t; the result is well-formed in ctx."""
+    return _infer(_Scope(ctx), t, max_level)
+
+
+@depth_guarded
 def check(ctx: Context, t: Term, ty: Term, max_level: int = DEFAULT_MAX_LEVEL) -> None:
     """Check t against the type ty, up to conversion.
 
     ty is validated with wf_type and normalized once; the recursion then
     works on the normal form.
     """
-    try:
-        wf_type(ctx, ty, max_level)
-        _check(ctx, t, _norm_ty(ctx, ty), max_level)
-    except RecursionError:
-        raise DepthError from None
+    scope = _Scope(ctx)
+    _wf_type(scope, ty, max_level)
+    _check(scope, t, scope.norm(ty), max_level)
 
 
-def _check(ctx: Context, t: Term, expected: Term, max_level: int) -> None:
+def _check(scope: _Scope, t: Term, expected: Term, max_level: int) -> None:
     """Check t against expected, a well-formed type in normal form.
 
     The domain, codomain and lifted type of a normal type are normal, so
@@ -171,36 +217,41 @@ def _check(ctx: Context, t: Term, expected: Term, max_level: int) -> None:
     """
     match (t, expected):
         case (Lam(body), Pi(dom, cod)):
-            _check(ctx.extend(dom), body, cod, max_level)
+            _check(scope.extend(dom), body, cod, max_level)
             return
         case (LiftTm(tm), Lift(inner)):
-            _check(ctx, tm, inner, max_level)
+            _check(scope, tm, inner, max_level)
             return
         case (App(_, _), _):
-            if (bound := _bind_head(ctx, t, max_level)) is not None:
+            if (bound := _bind_head(scope, t, max_level)) is not None:
                 inner, body, args = bound
                 _check(inner, body, shift(expected, len(args)), max_level)
                 return
-    actual = _norm_ty(ctx, infer(ctx, t, max_level))
+    actual = scope.norm(_infer(scope, t, max_level))
     if actual != expected:
         raise TypeMismatchError(f"expected type {expected}, got {actual}")
 
 
+@depth_guarded
 def conv_types(ctx: Context, a: Term, b: Term, max_level: int = DEFAULT_MAX_LEVEL) -> bool:
     """Decide definitional equality of two well-formed types."""
-    wf_type(ctx, a, max_level)
-    wf_type(ctx, b, max_level)
-    return norm_type(ctx, a) == norm_type(ctx, b)
+    scope = _Scope(ctx)
+    _wf_type(scope, a, max_level)
+    _wf_type(scope, b, max_level)
+    return scope.norm(a) == scope.norm(b)
 
 
+@depth_guarded
 def conv(ctx: Context, ty: Term, a: Term, b: Term, max_level: int = DEFAULT_MAX_LEVEL) -> bool:
     """Decide conversion of a and b at type ty via normal-form equality."""
-    try:
-        check(ctx, a, ty, max_level)
-        check(ctx, b, ty, max_level)
-        return norm(ctx, ty, a) == norm(ctx, ty, b)
-    except RecursionError:  # also comparing two deep normal forms
-        raise DepthError from None
+    scope = _Scope(ctx)
+    _wf_type(scope, ty, max_level)
+    expected = scope.norm(ty)
+    _check(scope, a, expected, max_level)
+    _check(scope, b, expected, max_level)
+    env, depth = scope.reflect(), len(ctx)
+    vty = nbe.eval_term(env, ty)
+    return nbe.quote(vty, nbe.eval_term(env, a), depth) == nbe.quote(vty, nbe.eval_term(env, b), depth)
 
 
 __all__ = [

@@ -7,8 +7,8 @@ from sconekit import DepthError, IllTypedError
 from sconekit.canonicity import canon
 from sconekit.nbe import norm, norm_type
 from sconekit.surface import parse_file_contents, resolve_term, resolve_type
-from sconekit.syntax import App, Bool, Code, Context, El, Lam, TrueTm, Var
-from sconekit.typecheck import check, conv
+from sconekit.syntax import App, Bool, Code, Context, El, Lam, Pi, TrueTm, Var
+from sconekit.typecheck import check, check_context, conv, conv_types, infer, wf_type
 
 DEPTH = 3000
 # twice applied to itself 12 times: a 12-deep term with a 4,096-deep normal form
@@ -24,6 +24,14 @@ def _nested_identity(t, n=DEPTH):
     for _ in range(n):
         t = App(Lam(Var(0)), t)
     return t
+
+
+def _deep_pi(n=DEPTH):
+    """Bool -> (Bool -> ... -> Bool), n arrows deep."""
+    ty = Bool()
+    for _ in range(n):
+        ty = Pi(Bool(), ty)
+    return ty
 
 
 def _nary(n):
@@ -62,6 +70,10 @@ ENTRY_POINTS = {
     "canon": lambda: canon(DEEP),
     "canon past the checker": lambda: canon(_nary(DEPTH)),
     "conv of deep normal forms": lambda: conv(Context(), EXP_TY, EXP_TERM, EXP_TERM),
+    "infer": lambda: infer(Context(), DEEP),
+    "wf_type": lambda: wf_type(Context(), _deep_pi()),
+    "check_context": lambda: check_context(Context((El(_nested_identity(Code(Bool()))),))),
+    "conv_types": lambda: conv_types(Context(), _deep_pi(), _deep_pi()),
 }
 
 

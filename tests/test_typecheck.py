@@ -24,6 +24,7 @@ from sconekit.syntax import (
     Var,
     rename,
     shift,
+    subst1,
 )
 from sconekit.nbe import norm_type
 from sconekit import oracle, typecheck
@@ -40,6 +41,7 @@ from sconekit.typecheck import (
 )
 
 import reference_typecheck as ref
+from test_nbe import _count_calls
 
 NEG = Lam(ElimBool(Bool(), FalseTm(), TrueTm(), Var(0)))
 
@@ -220,6 +222,40 @@ def test_redex_checking_grows_linearly_with_nesting(monkeypatch):
     assert counts[1] <= 2.5 * counts[0]
 
 
+# b : Bool |- El (elim b at _ => U0 | code Bool | code Bool), a type that mentions b
+_OPEN_TYPE = El(ElimBool(U(0), Code(Bool()), Code(Bool()), Var(0)))
+
+
+def _open_elims(k):
+    """k nested elims on b whose motive, branch types and type all mention b."""
+    t = inner = ElimBool(_OPEN_TYPE, TrueTm(), FalseTm(), Var(0))
+    for _ in range(k):
+        t = ElimBool(shift(_OPEN_TYPE, 1), t, inner, Var(0))
+    return t
+
+
+def test_check_reflects_the_context_once(monkeypatch):
+    """The caller's n entries are evaluated once per check, not once per normalization."""
+    calls = _count_calls(monkeypatch, ("eval_term",))
+    counts = []
+    for n in (200, 400):
+        calls.update(eval_term=0)
+        check(Context((Bool(),) * n), _open_elims(5), _OPEN_TYPE)
+        counts.append(calls["eval_term"])
+    assert 200 <= counts[1] - counts[0] <= 220, counts
+
+
+def test_redex_nesting_work_grows_linearly(monkeypatch):
+    """No let-bound argument of dup(k) is evaluated, since no type reads one."""
+    calls = _count_calls(monkeypatch, ("eval_term", "quote_type"))
+    work = []
+    for k in (10, 20):
+        calls.update(dict.fromkeys(calls, 0))
+        check(Context(), _dup(k), Bool())
+        work.append(calls["eval_term"] + calls["quote_type"])
+    assert 0 < work[1] <= 2.2 * work[0], work
+
+
 def test_nary_redex_binds_every_argument():
     # (fun x y z => elim y at _ => Bool | x | z) true true false : Bool
     body = ElimBool(Bool(), Var(2), Var(0), Var(1))
@@ -242,6 +278,59 @@ def test_redex_type_mentions_the_argument():
     # (fun A => fun B => f A) (code Bool) (code (Bool -> Bool)): A, not B, is substituted
     t2 = App(App(Lam(Lam(App(Var(2), Var(1)))), Code(Bool())), Code(Pi(Bool(), Bool())))
     assert infer(ctx, t2) == Pi(El(Code(Bool())), El(Code(Bool())))
+
+
+# ---------------------------------------------------------------------------
+# Levels: the caller's entries, binders the checker opens and let-bound redexes
+
+
+def test_binders_opened_under_a_context_keep_their_levels():
+    # [A : U0, a : El A] |- fun B => fun x => a : (B : U0) -> El B -> El A
+    ctx = Context((U(0), El(Var(0))))
+    t = Lam(Lam(Var(2)))
+    check(ctx, t, Pi(U(0), Pi(El(Var(0)), El(Var(3)))))
+    # ... but not at (B : U0) -> El B -> El B
+    with pytest.raises(TypeMismatchError):
+        check(ctx, t, Pi(U(0), Pi(El(Var(0)), El(Var(1)))))
+    assert infer(ctx.extend(U(0)).extend(El(Var(0))), Var(2)) == El(Var(3))
+
+
+def test_redex_inside_a_lambda_inside_a_context():
+    # [A : U0, f : (B : U0) -> El B -> El B] |- fun x => (fun C => f C x) A : El A -> El A
+    ctx = Context((U(0), Pi(U(0), Pi(El(Var(0)), El(Var(1))))))
+    body = App(App(Var(2), Var(0)), Var(1))
+    check(ctx, Lam(App(Lam(body), Var(2))), Pi(El(Var(1)), El(Var(2))))
+    # C := code Bool, so f C expects a boolean, and x : El A is none
+    with pytest.raises(TypeMismatchError):
+        check(ctx, Lam(App(Lam(body), Code(Bool()))), Pi(El(Var(1)), El(Var(2))))
+    # [A, B : U0, f, b : El B] |- fun u => (fun C => fun D => f D b) A B : Bool -> El B
+    # D is defined past C, so its value B is shifted over C
+    ctx = Context((U(0), U(0), Pi(U(0), Pi(El(Var(0)), El(Var(1)))), El(Var(1))))
+    t = App(App(Lam(Lam(App(App(Var(4), Var(0)), Var(3)))), Var(4)), Var(3))
+    check(ctx, Lam(t), Pi(Bool(), El(Var(3))))
+    with pytest.raises(TypeMismatchError):
+        check(ctx, Lam(t), Pi(Bool(), El(Var(4))))
+
+
+def _code_branches(t1, t2):
+    """z : Bool |- El (elim z at _ => U1 | code t1 | code t2)."""
+    return El(ElimBool(U(1), Code(t1), Code(t2), Var(0)))
+
+
+def test_sibling_branches_open_their_own_binders():
+    # b : Bool |- elim b at z => P z | fun X => fun y => y | fun g => fun w => w
+    # with P true = (X : U0) -> El X -> El X and P false = (g : Bool -> U0) -> El (g true) -> El (g true)
+    poly = Pi(U(0), Pi(El(Var(0)), El(Var(1))))
+    family = Pi(Pi(Bool(), U(0)), Pi(El(App(Var(0), TrueTm())), El(App(Var(1), TrueTm()))))
+    motive = _code_branches(poly, family)
+    ctx = Context((Bool(),))
+    ident2 = Lam(Lam(Var(0)))
+    assert infer(ctx, ElimBool(motive, ident2, ident2, Var(0))) == subst1(motive, Var(0))
+    # fun g => fun w => g is no inhabitant of P false, nor is the true branch swapped in
+    with pytest.raises(TypeMismatchError):
+        infer(ctx, ElimBool(motive, ident2, Lam(Lam(Var(1))), Var(0)))
+    with pytest.raises(TypeMismatchError):
+        infer(ctx, ElimBool(_code_branches(family, poly), Lam(Lam(Var(1))), ident2, Var(0)))
 
 
 # ---------------------------------------------------------------------------
