@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import nbe
@@ -31,6 +31,7 @@ from .syntax import (
     U,
     UnliftTm,
     Var,
+    depth_guarded,
     shift,
     subst1,
     term_size,
@@ -123,6 +124,7 @@ def step(t: Term) -> Optional[tuple[Term, tuple[int, ...], str]]:
     return None
 
 
+@depth_guarded
 def reduce(t: Term, fuel: Optional[int] = None) -> ReductionTrace:
     """Reduce to beta-normal form, recording each contraction."""
     if fuel is None:
@@ -315,15 +317,18 @@ def _eta_type(ctx: Context, ty: Term) -> Term:
 # Public oracle operations
 
 
+@depth_guarded
 def oracle_norm(ctx: Context, ty: Term, t: Term, fuel: Optional[int] = None) -> Term:
     """Beta-normalize, then eta-expand along ty.  Independent of the NbE path."""
     return _eta(ctx, ty, beta_normalize(t, fuel))
 
 
+@depth_guarded
 def oracle_norm_type(ctx: Context, ty: Term, fuel: Optional[int] = None) -> Term:
     return _eta_type(ctx, beta_normalize(ty, fuel))
 
 
+@depth_guarded
 def oracle_conv(ctx: Context, ty: Term, a: Term, b: Term, fuel: Optional[int] = None) -> bool:
     return oracle_norm(ctx, ty, a, fuel) == oracle_norm(ctx, ty, b, fuel)
 
@@ -344,16 +349,14 @@ class GenBudget:
             raise ValueError("all generator bounds must be >= 1")
 
 
-def _type_key(ctx: Context, ty: Term) -> Term:
-    return oracle_norm_type(ctx, ty)
-
-
 class _Gen:
     def __init__(self, budget: GenBudget):
         self.budget = budget
         self.rng = random.Random(budget.seed)
         self.steps = 0
+        self.fuel = default_fuel()
         self._key_cache: dict = {}
+        self._var_cache: dict = {}
 
     def _spend(self) -> None:
         """Per-attempt work budget; keeps backtracking from blowing up."""
@@ -365,8 +368,28 @@ class _Gen:
         k = (ctx.entries, ty)
         hit = self._key_cache.get(k)
         if hit is None:
-            hit = self._key_cache[k] = _type_key(ctx, ty)
+            hit = self._key_cache[k] = oracle_norm_type(ctx, ty, self.fuel)
         return hit
+
+    def var_table(self, ctx: Context) -> tuple[tuple[Optional[Term], Optional[Term]], ...]:
+        """(whnf, key) of each variable's type, index order; None where it
+        raised OracleError.  Pure in ctx, so filling a row draws nothing."""
+        table = self._var_cache.get(ctx.entries)
+        if table is None:
+            rows = []
+            for i in range(len(ctx)):
+                ty = ctx.lookup(i)
+                try:
+                    ty_w = whnf(ty, self.fuel)
+                except OracleError:
+                    ty_w = None
+                try:
+                    key = self.key(ctx, ty)
+                except OracleError:
+                    key = None
+                rows.append((ty_w, key))
+            table = self._var_cache[ctx.entries] = tuple(rows)
+        return table
 
     # -- types ---------------------------------------------------------
 
@@ -380,13 +403,7 @@ class _Gen:
             options.append("lift")
         if max_level >= 1:
             options.append("u")
-        u_vars = []
-        for i in range(len(ctx)):
-            try:
-                if isinstance(self.key(ctx, ctx.lookup(i)), U):
-                    u_vars.append(i)
-            except OracleError:
-                pass
+        u_vars = [i for i, (_, k) in enumerate(self.var_table(ctx)) if isinstance(k, U)]
         if u_vars:
             options += ["el", "el"]
         match self.rng.choice(options):
@@ -420,19 +437,16 @@ class _Gen:
         self._spend()
         if depth > 12:
             raise NoInhabitantError("generation recursion too deep")
-        ty_w = whnf(ty)
+        ty_w = whnf(ty, self.fuel)
         key = self.key(ctx, ty_w)
         thunks = []
 
         def add(weight, fn):
             thunks.extend([fn] * weight)
 
-        for i in range(len(ctx)):
-            try:
-                if self.key(ctx, ctx.lookup(i)) == key:
-                    add(2, lambda i=i: Var(i))
-            except OracleError:
-                continue
+        for i, (_, k) in enumerate(self.var_table(ctx)):
+            if k == key:
+                add(2, lambda i=i: Var(i))
         match ty_w:
             case Bool():
                 add(2, lambda: TrueTm())
@@ -473,14 +487,7 @@ class _Gen:
         return ElimBool(shift(ty, 1), tcase, fcase, scrut)
 
     def _app_of_var(self, ctx: Context, key: Term, size: int, depth: int) -> Term:
-        candidates = []
-        for i in range(len(ctx)):
-            try:
-                vty = whnf(ctx.lookup(i))
-            except OracleError:
-                continue
-            if isinstance(vty, Pi):
-                candidates.append((i, vty))
+        candidates = [(i, w) for i, (w, _) in enumerate(self.var_table(ctx)) if isinstance(w, Pi)]
         self.rng.shuffle(candidates)
         for i, vty in candidates:
             arg = self.term(ctx, vty.dom, max(1, size // 2), depth + 1)
@@ -492,9 +499,8 @@ class _Gen:
         raise NoInhabitantError("no applicable variable")
 
     def _unlift_of_var(self, ctx: Context, key: Term) -> Term:
-        for i in range(len(ctx)):
+        for i, (vty, _) in enumerate(self.var_table(ctx)):
             try:
-                vty = whnf(ctx.lookup(i))
                 if isinstance(vty, Lift) and self.key(ctx, vty.ty) == key:
                     return UnliftTm(Var(i))
             except OracleError:
@@ -540,12 +546,12 @@ class _Gen:
             options.append("pi")
         if level >= 1:
             options.append("lift")
-        el_cands = [
-            i
-            for i in range(len(ctx))
-            if isinstance(self.key(ctx, ctx.lookup(i)), U)
-            and self.key(ctx, ctx.lookup(i)).level == level
-        ]
+        el_cands = []
+        for i, (_, k) in enumerate(self.var_table(ctx)):
+            if k is None:  # nf_type does not skip such a variable: raise its error again
+                self.key(ctx, ctx.lookup(i))
+            if isinstance(k, U) and k.level == level:
+                el_cands.append(i)
         if el_cands:
             options.append("el")
         match self.rng.choice(options):
@@ -563,14 +569,17 @@ class _Gen:
 
     def ne(self, ctx: Context, target: Term, depth: int) -> nbe.Ne:
         """A neutral of (normal) type target, by spining out from a variable."""
-        target_key = target
         self._spend()
+        table = self.var_table(ctx)
         for _ in range(4):
             order = list(range(len(ctx)))
             self.rng.shuffle(order)
             for i in order:
+                key = table[i][1]
+                if key is None:
+                    continue
                 try:
-                    result = self._spine(ctx, nbe.VarNe(i), self.key(ctx, ctx.lookup(i)), target_key, depth)
+                    result = self._spine(ctx, nbe.VarNe(i), key, target, depth)
                 except (NoInhabitantError, OracleError):
                     continue
                 if result is not None:

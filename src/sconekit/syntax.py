@@ -18,8 +18,9 @@ class ScopeError(Exception):
 class DepthError(RecursionError):
     """A term is nested too deeply for the recursion limit.
 
-    The public entry points of typecheck, norm, norm_type and canon raise
-    it instead of a bare RecursionError; sys.setrecursionlimit raises the
+    The public entry points of typecheck, norm, norm_type, canon and the
+    oracle's reduce, oracle_norm, oracle_norm_type and oracle_conv raise it
+    instead of a bare RecursionError; sys.setrecursionlimit raises the
     limit.
     """
 

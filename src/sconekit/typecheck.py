@@ -7,7 +7,6 @@ recursion, extended at each binder and definition it opens.
 from __future__ import annotations
 
 from . import nbe
-from .nbe import norm_type  # noqa: F401  kept as typecheck.norm_type, which a test patches
 from .syntax import (
     App,
     Bool,

@@ -1,5 +1,7 @@
 """The reduction oracle and the deterministic generators."""
 
+import hashlib
+
 import pytest
 
 from sconekit.syntax import (
@@ -7,6 +9,7 @@ from sconekit.syntax import (
     Bool,
     Code,
     Context,
+    DepthError,
     El,
     ElimBool,
     FalseTm,
@@ -29,6 +32,7 @@ from sconekit.oracle import (
     gen_term,
     oracle_conv,
     oracle_norm,
+    oracle_norm_type,
     reduce,
 )
 
@@ -98,6 +102,31 @@ def test_oracle_conv():
     assert not oracle_conv(Context(), Bool(), TrueTm(), FalseTm())
 
 
+def _stuck_elims(n=3000):
+    """elim (elim (... x) ...) ... in [x : Bool], n stuck elims deep."""
+    t = Var(0)
+    for _ in range(n):
+        t = ElimBool(Bool(), TrueTm(), FalseTm(), t)
+    return t
+
+
+DEEP_CTX, DEEP = Context((Bool(),)), _stuck_elims()
+DEEP_TYPE = El(ElimBool(U(0), Code(Bool()), Code(Bool()), DEEP))
+PUBLIC_OPERATIONS = {
+    "reduce": lambda: reduce(DEEP),
+    "oracle_norm": lambda: oracle_norm(DEEP_CTX, Bool(), DEEP),
+    "oracle_norm_type": lambda: oracle_norm_type(DEEP_CTX, DEEP_TYPE),
+    "oracle_conv": lambda: oracle_conv(DEEP_CTX, Bool(), DEEP, TrueTm()),
+}
+
+
+@pytest.mark.parametrize("name", PUBLIC_OPERATIONS)
+def test_deep_term_is_a_depth_error(name):
+    with pytest.raises(DepthError, match="nested too deeply") as info:
+        PUBLIC_OPERATIONS[name]()
+    assert info.type is DepthError and info.value.__cause__ is None
+
+
 def test_generated_terms_typecheck():
     produced = 0
     for seed in range(120):
@@ -125,6 +154,45 @@ def test_generator_is_deterministic():
     a = gen_term(GenBudget(seed=7), Context(), Bool())
     b = gen_term(GenBudget(seed=7), Context(), Bool())
     assert a == b
+
+
+def _gen_outcome(budget, make):
+    """(ctx, ty, output or give-up message) for one budget, as the gen workload draws it."""
+    ctx = oracle.gen_context(budget)
+    ty = oracle.gen_type(budget, ctx)
+    try:
+        if make is gen_nf:
+            ty = oracle_norm_type(ctx, ty)
+        out = make(budget, ctx, ty)
+    except NoInhabitantError as e:
+        out = "giveup:" + str(e)
+    return ctx, ty, out
+
+
+def test_generator_output_is_pinned():
+    """Which contexts, types, terms and normal forms the seeds give is fixed:
+    every seeded test and the frozen bench corpus rest on it."""
+    h = hashlib.sha256()
+    for s in range(100):
+        nf_budget = GenBudget(max_term_size=5, max_context_length=3, seed=s)
+        h.update(repr(_gen_outcome(GenBudget(seed=s), gen_term)).encode())
+        h.update(repr(_gen_outcome(nf_budget, gen_nf)).encode())
+    assert h.hexdigest() == "59e15a5ed287c93c15bea397f994d19c0486a6b85d0fffefa177a356e77489ac"
+
+
+@pytest.mark.parametrize("seed", [68, 369, 81])
+def test_generator_looks_up_each_variable_once_per_context(monkeypatch, seed):
+    """The slowest gen seeds give up after a long search; each variable's
+    type is weakened once per context, not once per search step."""
+    budget = GenBudget(seed=seed)
+    ctx = oracle.gen_context(budget)
+    ty = oracle.gen_type(budget, ctx)
+    calls = []
+    lookup = Context.lookup
+    monkeypatch.setattr(Context, "lookup", lambda self, ix: calls.append(ix) or lookup(self, ix))
+    with pytest.raises(NoInhabitantError):
+        gen_term(budget, ctx, ty)
+    assert 0 < len(calls) <= 1_000
 
 
 def test_gen_nf_at_arrow_type_is_eta_long():

@@ -172,54 +172,12 @@ def test_check_rejects_term_as_type():
         check(Context(), Lam(Var(0)), TrueTm())
 
 
-def _projection(n):
-    """fun x1 ... xn => x1 and its type Bool^n -> Bool."""
-    t, ty = Var(n - 1), Bool()
-    for _ in range(n):
-        t, ty = Lam(t), Pi(Bool(), ty)
-    return t, ty
-
-
-def test_check_normalizes_expected_type_a_fixed_number_of_times(monkeypatch):
-    calls = []
-    norm_type = typecheck.norm_type
-
-    def counting_norm_type(ctx, ty):
-        calls.append(ty)
-        return norm_type(ctx, ty)
-
-    monkeypatch.setattr(typecheck, "norm_type", counting_norm_type)
-    counts = []
-    for n in (30, 60):
-        calls.clear()
-        check(Context(), *_projection(n))
-        counts.append(len(calls))
-    assert counts[0] == counts[1]
-
-
 def _dup(k):
     """k nested (fun x => elim x at _ => Bool | x | x) redexes around true."""
     t = TrueTm()
     for _ in range(k):
         t = App(Lam(ElimBool(Bool(), Var(0), Var(0), Var(0))), t)
     return t
-
-
-def test_redex_checking_grows_linearly_with_nesting(monkeypatch):
-    calls = []
-    infer_ = typecheck.infer
-
-    def counting_infer(*args):
-        calls.append(None)
-        return infer_(*args)
-
-    monkeypatch.setattr(typecheck, "infer", counting_infer)
-    counts = []
-    for k in (10, 20):
-        calls.clear()
-        check(Context(), _dup(k), Bool())
-        counts.append(len(calls))
-    assert counts[1] <= 2.5 * counts[0]
 
 
 # b : Bool |- El (elim b at _ => U0 | code Bool | code Bool), a type that mentions b
