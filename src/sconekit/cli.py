@@ -183,7 +183,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except RecursionError:  # a DepthError, or a deep normal form in embed or pretty
+    except RecursionError:  # a DepthError, or one from a layer without a depth guard
         print(f"error: {DepthError()}", file=sys.stderr)
         return 1
 

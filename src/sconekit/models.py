@@ -1,10 +1,12 @@
-"""Models of the theory as higher-order signatures, and a generic evaluator.
+"""Models of the theory as higher-order signatures, and the one evaluator.
 
 A Model packages one carrier operation per former, with binders taken as
-meta-level functions.  eval_term / eval_type interpret syntax into any
-model; environments are ordered outermost first.  StandardModel interprets
-types as small enumerable sets, which makes the semantic equations
-samplable in tests.  Glued evaluation is the model canonicity.GLUED.
+meta-level functions.  eval_term interprets syntax, terms and types alike,
+into any model; each binder becomes a Clo, and environments are ordered
+outermost first.  StandardModel interprets types as small enumerable sets,
+which makes the semantic equations samplable in tests.  Glued evaluation
+is the model canonicity.GLUED, and normalization by evaluation the model
+nbe.NBE.
 """
 
 from __future__ import annotations
@@ -41,6 +43,9 @@ class ModelError(Exception):
 
 class Model(ABC):
     """Operations of the theory with binders as meta-functions."""
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}()"
 
     @abstractmethod
     def pi(self, dom: Any, cod: Callable[[Any], Any]) -> Any: ...
@@ -84,52 +89,62 @@ class Model(ABC):
     def unlift_tm(self, tm: Any) -> Any: ...
 
 
-def eval_type(model: Model, env: tuple, ty: Term) -> Any:
-    match ty:
-        case Pi(dom, cod):
-            return model.pi(
-                eval_type(model, env, dom),
-                lambda a: eval_type(model, env + (a,), cod),
-            )
-        case Bool():
-            return model.bool_()
-        case U(level):
-            return model.u(level)
-        case El(c):
-            return model.el(eval_term(model, env, c))
-        case Lift(a):
-            return model.lift(eval_type(model, env, a))
-    raise ModelError(f"{ty} is not a type")
+@node
+class Clo:
+    """A binder's body under its captured environment, awaiting the binder's value."""
+
+    model: Model
+    env: tuple
+    body: Term
+
+    def __call__(self, a: Any) -> Any:
+        return eval_term(self.model, self.env + (a,), self.body)
 
 
 def eval_term(model: Model, env: tuple, t: Term) -> Any:
+    """Interpret t, a term or a type, in model; env is ordered outermost first."""
     match t:
         case Var(ix):
             if not 0 <= ix < len(env):
                 raise ScopeError(f"variable {ix} out of range in environment of length {len(env)}")
             return env[len(env) - 1 - ix]
-        case Lam(b):
-            return model.lam(lambda a: eval_term(model, env + (a,), b))
         case App(f, a):
             return model.app(eval_term(model, env, f), eval_term(model, env, a))
+        case Lam(b):
+            return model.lam(Clo(model, env, b))
+        case Pi(dom, cod):
+            return model.pi(eval_term(model, env, dom), Clo(model, env, cod))
+        case Bool():
+            return model.bool_()
         case TrueTm():
             return model.true()
         case FalseTm():
             return model.false()
         case ElimBool(m, t1, t2, s):
             return model.elim_bool(
-                lambda b: eval_type(model, env + (b,), m),
+                Clo(model, env, m),
                 eval_term(model, env, t1),
                 eval_term(model, env, t2),
                 eval_term(model, env, s),
             )
+        case U(level):
+            return model.u(level)
+        case El(c):
+            return model.el(eval_term(model, env, c))
         case Code(a):
-            return model.code(eval_type(model, env, a))
+            return model.code(eval_term(model, env, a))
+        case Lift(a):
+            return model.lift(eval_term(model, env, a))
         case LiftTm(x):
             return model.lift_tm(eval_term(model, env, x))
         case UnliftTm(x):
             return model.unlift_tm(eval_term(model, env, x))
-    raise ModelError(f"{t!r} is not interpretable as a term")
+    raise ModelError(f"{t!r} is not interpretable")
+
+
+def eval_type(model: Model, env: tuple, ty: Term) -> Any:
+    """eval_term: syntax has one sort, and the type checker tells types from terms."""
+    return eval_term(model, env, ty)
 
 
 def eval_substitution(model: Model, env: tuple, s: Substitution) -> tuple:

@@ -1,10 +1,11 @@
-"""Normalization by evaluation, with neutrals at de Bruijn levels.
+"""Normalization by evaluation: the model NBE, run by models.eval_term.
 
-The ambient context's variable of index i sits at level -1-i, and the
-binder that quote opens at depth d at level d.  So a value keeps its
-meaning under new binders and nothing is ever weakened.  A stuck value
-keeps its spine unquoted; quote reads it back at its depth, level l as
-index depth-1-l, and yields typed, eta-long beta-normal forms.
+Values keep binders as models.Clo closures, and neutrals at de Bruijn
+levels: the ambient context's variable of index i sits at level -1-i,
+and the binder that quote opens at depth d at level d.  So a value keeps
+its meaning under new binders and nothing is ever weakened.  A stuck
+value keeps its spine unquoted; quote reads it back at its depth, level
+l as index depth-1-l, and yields typed, eta-long beta-normal forms.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 from itertools import zip_longest
 from typing import Callable
 
+from . import models
+from .models import Clo, Model
 from .syntax import (
     App,
     Bool,
@@ -24,7 +27,6 @@ from .syntax import (
     Lift,
     LiftTm,
     Pi,
-    ScopeError,
     Term,
     TrueTm,
     U,
@@ -152,45 +154,45 @@ class LiftNf(Nf):
     ty: Nf
 
 
-def embed_ne(ne: Ne) -> Term:
-    match ne:
+@depth_guarded
+def embed(nf: Nf) -> Term:
+    """Forget normality."""
+    return _embed(nf)
+
+
+def _embed(x: Nf | Ne) -> Term:
+    match x:
         case VarNe(ix):
             return Var(ix)
         case AppNe(f, a):
-            return App(embed_ne(f), embed(a))
+            return App(_embed(f), _embed(a))
         case ElimBoolNe(m, t, f, s):
-            return ElimBool(embed(m), embed(t), embed(f), embed_ne(s))
+            return ElimBool(_embed(m), _embed(t), _embed(f), _embed(s))
         case UnliftNe(t):
-            return UnliftTm(embed_ne(t))
-    raise IllTypedError(f"unknown neutral {ne!r}")
-
-
-def embed(nf: Nf) -> Term:
-    """Forget normality."""
-    match nf:
+            return UnliftTm(_embed(t))
         case LamNf(b):
-            return Lam(embed(b))
+            return Lam(_embed(b))
         case TrueNf():
             return TrueTm()
         case FalseNf():
             return FalseTm()
         case CodeNf(t):
-            return Code(embed(t))
+            return Code(_embed(t))
         case LiftTmNf(t):
-            return LiftTm(embed(t))
+            return LiftTm(_embed(t))
         case NeAtBool(ne) | NeAtEl(ne) | NeAtU(ne):
-            return embed_ne(ne)
+            return _embed(ne)
         case PiNf(d, c):
-            return Pi(embed(d), embed(c))
+            return Pi(_embed(d), _embed(c))
         case BoolNf():
             return Bool()
         case UNf(level):
             return U(level)
         case ElNf(ne):
-            return El(embed_ne(ne))
+            return El(_embed(ne))
         case LiftNf(t):
-            return Lift(embed(t))
-    raise IllTypedError(f"unknown normal form {nf!r}")
+            return Lift(_embed(t))
+    raise IllTypedError(f"unknown normal form {x!r}")
 
 
 def _lift_ix(f: IxMap) -> IxMap:
@@ -232,17 +234,6 @@ def rename_nf(nf: Nf, f: IxMap) -> Nf:
 @node
 class Val:
     pass
-
-
-@node
-class Clo:
-    """A term under a captured environment, awaiting one more value."""
-
-    env: tuple[Val, ...]
-    body: Term
-
-    def __call__(self, v: Val) -> Val:
-        return eval_term((v,) + self.env, self.body)
 
 
 @node
@@ -345,7 +336,7 @@ def restrict(v: Val, f: IxMap) -> Val:
                 return -1 - f(-1 - x)
             case tuple():
                 return tuple(map(go, x))
-            case Term() | VU():
+            case Term() | VU() | Model():
                 return x
         return type(x)(*[go(getattr(x, name)) for name in x.__match_args__])
 
@@ -365,49 +356,6 @@ def apply_val(fn: Val, arg: Val) -> Val:
     raise IllTypedError(f"cannot apply non-function value {fn!r}")
 
 
-def eval_term(env: tuple[Val, ...], t: Term) -> Val:
-    """One clause per former; Var looks up the environment."""
-    match t:
-        case Var(ix):
-            if ix >= len(env):
-                raise ScopeError(f"variable {ix} out of range in environment of length {len(env)}")
-            return env[ix]
-        case Lam(b):
-            return VLam(Clo(env, b))
-        case App(f, a):
-            return apply_val(eval_term(env, f), eval_term(env, a))
-        case Pi(d, c):
-            return VPi(eval_term(env, d), Clo(env, c))
-        case Bool():
-            return VBool()
-        case TrueTm():
-            return VTrue()
-        case FalseTm():
-            return VFalse()
-        case ElimBool(m, t1, t2, s):
-            return _elim_bool(Clo(env, m), eval_term(env, t1), eval_term(env, t2), eval_term(env, s))
-        case U(level):
-            return VU(level)
-        case El(c):
-            cv = eval_term(env, c)
-            return cv.ty if isinstance(cv, VCode) else VEl(cv)
-        case Code(a):
-            av = eval_term(env, a)
-            return av.code if isinstance(av, VEl) else VCode(av)
-        case Lift(a):
-            return VLift(eval_term(env, a))
-        case LiftTm(tm):
-            return VLiftVal(eval_term(env, tm))
-        case UnliftTm(tm):
-            v = eval_term(env, tm)
-            if isinstance(v, VLiftVal):
-                return v.inner
-            if isinstance(v, VNe) and isinstance(v.vty, VLift):
-                return VNe(v.vty.ty, UnliftFrame(v.ne))
-            raise IllTypedError(f"cannot unlift {v!r}")
-    raise IllTypedError(f"unknown term {t!r}")
-
-
 def _elim_bool(motive: Clo, vt: Val, vf: Val, scrut: Val) -> Val:
     match scrut:
         case VTrue():
@@ -417,6 +365,42 @@ def _elim_bool(motive: Clo, vt: Val, vf: Val, scrut: Val) -> Val:
         case VNe(_, ne):
             return VNe(motive(scrut), ElimFrame(ne, motive, vt, vf))
     raise IllTypedError(f"boolean eliminator applied to {scrut!r}")
+
+
+class NbeModel(Model):
+    """The semantic domain as a model: a stuck eliminator becomes a neutral."""
+
+    pi = staticmethod(VPi)
+    lam = staticmethod(VLam)
+    app = staticmethod(apply_val)
+    bool_ = staticmethod(VBool)
+    true = staticmethod(VTrue)
+    false = staticmethod(VFalse)
+    elim_bool = staticmethod(_elim_bool)
+    u = staticmethod(VU)
+    lift = staticmethod(VLift)
+    lift_tm = staticmethod(VLiftVal)
+
+    def el(self, code):
+        return code.ty if isinstance(code, VCode) else VEl(code)
+
+    def code(self, ty):
+        return ty.code if isinstance(ty, VEl) else VCode(ty)
+
+    def unlift_tm(self, tm):
+        if isinstance(tm, VLiftVal):
+            return tm.inner
+        if isinstance(tm, VNe) and isinstance(tm.vty, VLift):
+            return VNe(tm.vty.ty, UnliftFrame(tm.ne))
+        raise IllTypedError(f"cannot unlift {tm!r}")
+
+
+NBE = NbeModel()
+
+
+def eval_term(env: tuple[Val, ...], t: Term) -> Val:
+    """The value of t in env, an environment ordered outermost first."""
+    return models.eval_term(NBE, env, t)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +483,7 @@ def reflect_context(ctx: Context, env: tuple[Val, ...] = (), base: int | None = 
     base, done = len(ctx) if base is None else base, len(env)
     for entry, value in zip_longest(ctx.entries[done:], ctx.values[done:]):
         v = VNe(eval_term(env, entry), len(env) - base) if value is None else eval_term(env, value)
-        env = (v,) + env
+        env = env + (v,)
     return env
 
 

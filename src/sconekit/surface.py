@@ -27,6 +27,7 @@ from .syntax import (
     U,
     UnliftTm,
     Var,
+    depth_guarded,
     node,
 )
 
@@ -411,6 +412,7 @@ def resolve_term(s: SurfaceTerm, scope: tuple[str, ...] = ()) -> Term:
 # Pretty-printer; binder at depth d is named x<d>
 
 
+@depth_guarded
 def pretty(t: Term, depth: int = 0) -> str:
     return _pp(t, depth, 0)
 

@@ -18,10 +18,10 @@ class ScopeError(Exception):
 class DepthError(RecursionError):
     """A term is nested too deeply for the recursion limit.
 
-    The public entry points of typecheck, norm, norm_type, canon and the
-    oracle's reduce, oracle_norm, oracle_norm_type and oracle_conv raise it
-    instead of a bare RecursionError; sys.setrecursionlimit raises the
-    limit.
+    The public entry points of typecheck, norm, norm_type, embed, canon,
+    surface.pretty and the oracle's reduce, oracle_norm, oracle_norm_type
+    and oracle_conv raise it instead of a bare RecursionError;
+    sys.setrecursionlimit raises the limit.
     """
 
     def __init__(self, message: str = "term nested too deeply for the recursion limit") -> None:

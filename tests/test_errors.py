@@ -5,8 +5,8 @@ import pytest
 import sconekit
 from sconekit import DepthError, IllTypedError
 from sconekit.canonicity import canon
-from sconekit.nbe import norm, norm_type
-from sconekit.surface import parse_file_contents, resolve_term, resolve_type
+from sconekit.nbe import LamNf, NeAtBool, VarNe, embed, norm, norm_type
+from sconekit.surface import parse_file_contents, pretty, resolve_term, resolve_type
 from sconekit.syntax import App, Bool, Code, Context, El, Lam, Pi, TrueTm, Var
 from sconekit.typecheck import check, check_context, conv, conv_types, infer, wf_type
 
@@ -34,6 +34,13 @@ def _deep_pi(n=DEPTH):
     return ty
 
 
+def _nested(former, t, n=DEPTH):
+    """former(former(... t)), n deep."""
+    for _ in range(n):
+        t = former(t)
+    return t
+
+
 def _nary(n):
     """(fun x1 ... xn => x1) true ... true: checked as lets, so only evaluation recurses n deep."""
     t = Var(n - 1)
@@ -59,6 +66,13 @@ def test_norm_of_an_ill_typed_term():
         norm(Context(), Bool(), Lam(Var(0)))
 
 
+def test_error_message_shows_no_memory_address():
+    """A closure in a message shows its model by name, not as an object address."""
+    with pytest.raises(IllTypedError, match="Clo") as info:
+        norm(Context(), Bool(), Lam(Var(0)))
+    assert "0x" not in str(info.value)
+
+
 DEEP = _nested_identity(TrueTm())
 _exp_term, _exp_ty = parse_file_contents(EXPONENTIAL)
 EXP_TERM, EXP_TY = resolve_term(_exp_term), resolve_type(_exp_ty)
@@ -74,6 +88,8 @@ ENTRY_POINTS = {
     "wf_type": lambda: wf_type(Context(), _deep_pi()),
     "check_context": lambda: check_context(Context((El(_nested_identity(Code(Bool()))),))),
     "conv_types": lambda: conv_types(Context(), _deep_pi(), _deep_pi()),
+    "embed": lambda: embed(_nested(LamNf, NeAtBool(VarNe(0)))),
+    "pretty": lambda: pretty(_nested(Lam, Var(0))),
 }
 
 

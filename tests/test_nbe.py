@@ -27,7 +27,8 @@ from sconekit.syntax import (
     rename,
     shift,
 )
-from sconekit import nbe, oracle, syntax, typecheck
+from sconekit import models, nbe, oracle, syntax, typecheck
+from sconekit.canonicity import canon
 from sconekit.nbe import (
     AppNe,
     BoolNf,
@@ -173,7 +174,7 @@ def _compare_with_weakening_reference(ctx):
     """Both environments of ctx agree variable by variable; returns how many."""
     got, want = nbe.reflect_context(ctx), ref.reflect_context(ctx)
     assert len(got) == len(want) == len(ctx)
-    for ix, (v, w) in enumerate(zip(got, want)):
+    for ix, (v, w) in enumerate(zip(reversed(got), want)):
         vty, wty = nbe.eval_term(got, ctx.lookup(ix)), ref.eval_term(want, ctx.lookup(ix))
         assert quote_type(vty) == ref.quote_type(wty), (ctx, ix)
         assert quote(vty, v) == ref.quote(wty, w), (ctx, ix)
@@ -254,22 +255,25 @@ def test_norm_agrees_with_index_reference():
 
 
 def _count_calls(monkeypatch, names):
+    """Count calls of nbe's functions by name, and of another sconekit module's as "module.name"."""
     calls = dict.fromkeys(names, 0)
     for name in names:
-        original = getattr(nbe, name)
+        module, _, attr = name.rpartition(".")
+        owner = sys.modules[f"sconekit.{module or 'nbe'}"]
+        original = getattr(owner, attr)
 
         def counting(*args, _name=name, _original=original):
             calls[_name] += 1
             return _original(*args)
 
-        monkeypatch.setattr(nbe, name, counting)
+        monkeypatch.setattr(owner, attr, counting)
     return calls
 
 
 @pytest.mark.parametrize("operation", ["norm", "check"])
 def test_binder_family_work_grows_linearly(monkeypatch, operation):
     """fun x1 ... xn => x1 at Bool -> ... -> Bool: nothing is re-weakened under a binder."""
-    calls = _count_calls(monkeypatch, ("eval_term", "quote", "quote_type", "restrict"))
+    calls = _count_calls(monkeypatch, ("eval_term", "models.eval_term", "quote", "quote_type", "restrict"))
     work = []
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 5000))  # each counted call adds a frame to a 400-deep quote
@@ -287,10 +291,25 @@ def test_binder_family_work_grows_linearly(monkeypatch, operation):
             else:
                 typecheck.check(Context(), t, ty)
             assert calls["restrict"] == 0
-            work.append(calls["eval_term"] + calls["quote"] + calls["quote_type"])
+            work.append(calls["eval_term"] + calls["models.eval_term"] + calls["quote"] + calls["quote_type"])
     finally:
         sys.setrecursionlimit(limit)
     assert work[1] <= 2.2 * work[0], work
+
+
+def test_every_route_evaluates_through_the_model_evaluator(monkeypatch):
+    """NbE, glued evaluation and the standard model are all run by models.eval_term."""
+    calls = _count_calls(monkeypatch, ("models.eval_term",))
+    t = App(NEG, TrueTm())
+    routes = {
+        "norm": lambda: norm(Context(), Bool(), t),
+        "canon": lambda: canon(t),
+        "standard": lambda: models.eval_term(models.STANDARD, (), t),
+    }
+    for name, route in routes.items():
+        calls.update(dict.fromkeys(calls, 0))
+        route()
+        assert calls["models.eval_term"] >= 1, name
 
 
 def _open(text, scope):
