@@ -189,9 +189,9 @@ def glued_eval(env: tuple[GluedValue, ...], t: Term) -> GluedValue:
 
 
 @depth_guarded
-def canon(t: Term, max_level: int = typecheck.DEFAULT_MAX_LEVEL) -> BoolWitness:
+def canon(t: Term) -> BoolWitness:
     """For a closed boolean term, decide which canonical form it equals."""
-    typecheck.check(Context(), t, Bool(), max_level)
+    typecheck.check(Context(), t, Bool())
     witness = glued_eval((), t).sem
     if not isinstance(witness, BoolWitness):
         raise CanonicityError(f"non-boolean witness {witness!r}")

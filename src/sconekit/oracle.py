@@ -341,11 +341,10 @@ def oracle_conv(ctx: Context, ty: Term, a: Term, b: Term, fuel: Optional[int] = 
 class GenBudget:
     max_term_size: int = 9
     max_context_length: int = 3
-    universe_max: int = 1
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if min(self.max_term_size, self.max_context_length, self.universe_max) < 1:
+        if min(self.max_term_size, self.max_context_length) < 1:
             raise ValueError("all generator bounds must be >= 1")
 
 
@@ -393,9 +392,7 @@ class _Gen:
 
     # -- types ---------------------------------------------------------
 
-    def type_(self, ctx: Context, size: int, max_level: Optional[int] = None) -> Term:
-        if max_level is None:
-            max_level = self.budget.universe_max
+    def type_(self, ctx: Context, size: int, max_level: int = 1) -> Term:
         options = ["bool", "bool", "bool"]
         if size >= 3:
             options += ["pi", "pi"]
@@ -676,7 +673,6 @@ def gen_closing_substitution(budget: GenBudget, ctx: Context) -> "Substitution":
             GenBudget(
                 max_term_size=budget.max_term_size,
                 max_context_length=budget.max_context_length,
-                universe_max=budget.universe_max,
                 seed=budget.seed * 131 + j,
             ),
             Context(),

@@ -124,17 +124,15 @@ class ParamResult:
     witness_type: Term
 
 
-def translate(
-    t: Term, ty: Term, max_level: int = typecheck.DEFAULT_MAX_LEVEL
-) -> ParamResult:
+def translate(t: Term, ty: Term) -> ParamResult:
     """Translate a closed term t : ty in the fragment and certify the result.
 
     The witness is re-typechecked against the translated type before
     being returned.
     """
     ctx = Context()
-    typecheck.check(ctx, t, ty, max_level)
+    typecheck.check(ctx, t, ty)
     witness = param_term(t)
     witness_type = subst_with(param_family(ty), (t,), 0)
-    typecheck.check(ctx, witness, witness_type, max_level)
+    typecheck.check(ctx, witness, witness_type)
     return ParamResult(t, ty, witness, witness_type)

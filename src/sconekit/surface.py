@@ -413,8 +413,8 @@ def resolve_term(s: SurfaceTerm, scope: tuple[str, ...] = ()) -> Term:
 
 
 @depth_guarded
-def pretty(t: Term, depth: int = 0) -> str:
-    return _pp(t, depth, 0)
+def pretty(t: Term) -> str:
+    return _pp(t, 0, 0)
 
 
 _PREC_ATOM = 3
@@ -476,14 +476,14 @@ def _paren(s: str, needed: bool) -> str:
     return f"({s})" if needed else s
 
 
-def _uses_var0(t: Term, depth: int = 0) -> bool:
+def _uses_var0(t: Term) -> bool:
     from .syntax import _map_vars
 
     found = False
 
     def spot(d: int, ix: int) -> Term:
         nonlocal found
-        if ix == d + depth:
+        if ix == d:
             found = True
         return Var(ix)
 

@@ -33,6 +33,7 @@ from .syntax import (
     subst_with,
 )
 
+# the theory has two universes, U0 and U1; every level lies below this bound
 DEFAULT_MAX_LEVEL = 2
 
 
@@ -85,46 +86,46 @@ class _Scope:
         return nbe.embed(nbe.quote_type(nbe.eval_term(env, ty), len(self.ctx)))
 
 
-def _wf_type(scope: _Scope, ty: Term, max_level: int) -> int:
+def _wf_type(scope: _Scope, ty: Term) -> int:
     match ty:
         case Bool():
             return 0
         case Pi(dom, cod):
-            i = _wf_type(scope, dom, max_level)
-            j = _wf_type(scope.extend(dom), cod, max_level)
+            i = _wf_type(scope, dom)
+            j = _wf_type(scope.extend(dom), cod)
             return max(i, j)
         case U(level):
-            if not 0 <= level < max_level:
-                raise LevelError(f"universe level {level} exceeds maximum {max_level - 1}")
+            if not 0 <= level < DEFAULT_MAX_LEVEL:
+                raise LevelError(f"universe level {level} exceeds maximum {DEFAULT_MAX_LEVEL - 1}")
             return level + 1
         case El(code):
-            cty = scope.norm(_infer(scope, code, max_level))
+            cty = scope.norm(_infer(scope, code))
             if isinstance(cty, U):
                 return cty.level
             raise TypeMismatchError(f"El expects a universe code, got a term of type {cty}")
         case Lift(inner):
-            i = _wf_type(scope, inner, max_level) + 1
-            if i > max_level:
-                raise LevelError(f"lifted type exceeds maximum level {max_level}")
+            i = _wf_type(scope, inner) + 1
+            if i > DEFAULT_MAX_LEVEL:
+                raise LevelError(f"lifted type exceeds maximum level {DEFAULT_MAX_LEVEL}")
             return i
     raise TypeMismatchError(f"{ty} is not a type")
 
 
 @depth_guarded
-def wf_type(ctx: Context, ty: Term, max_level: int = DEFAULT_MAX_LEVEL) -> int:
+def wf_type(ctx: Context, ty: Term) -> int:
     """Check that ty is a well-formed type in ctx; return its universe level."""
-    return _wf_type(_Scope(ctx), ty, max_level)
+    return _wf_type(_Scope(ctx), ty)
 
 
 @depth_guarded
-def check_context(ctx: Context, max_level: int = DEFAULT_MAX_LEVEL) -> None:
+def check_context(ctx: Context) -> None:
     scope = _Scope(Context())
     for entry in ctx.entries:
-        _wf_type(scope, entry, max_level)
+        _wf_type(scope, entry)
         scope = scope.extend(entry)
 
 
-def _bind_head(scope: _Scope, t: Term, max_level: int) -> tuple[_Scope, Term, list[Term]] | None:
+def _bind_head(scope: _Scope, t: Term) -> tuple[_Scope, Term, list[Term]] | None:
     """Bind the beta-redexes at the head of an application spine as a let.
 
     (fun x1 ... xk => b) a1 ... ak c... becomes b c... in ctx, x1 := a1, ...,
@@ -141,45 +142,45 @@ def _bind_head(scope: _Scope, t: Term, max_level: int) -> tuple[_Scope, Term, li
     inner, args = scope, []
     while spine and isinstance(head, Lam):
         arg, head, i = spine.pop(), head.body, len(args)
-        inner = inner.extend(shift(_infer(scope, arg, max_level), i), shift(arg, i))
+        inner = inner.extend(shift(_infer(scope, arg), i), shift(arg, i))
         args.append(arg)
     for arg in reversed(spine):
         head = App(head, shift(arg, len(args)))
     return inner, head, args
 
 
-def _infer(scope: _Scope, t: Term, max_level: int) -> Term:
+def _infer(scope: _Scope, t: Term) -> Term:
     match t:
         case Var(ix):
             return scope.ctx.lookup(ix)
         case TrueTm() | FalseTm():
             return Bool()
         case App(fn, arg):
-            if (bound := _bind_head(scope, t, max_level)) is not None:
+            if (bound := _bind_head(scope, t)) is not None:
                 inner, body, args = bound
-                return subst_with(_infer(inner, body, max_level), args[::-1])
-            fty = scope.norm(_infer(scope, fn, max_level))
+                return subst_with(_infer(inner, body), args[::-1])
+            fty = scope.norm(_infer(scope, fn))
             if not isinstance(fty, Pi):
                 raise TypeMismatchError(f"{fty} is not a Π-type")
-            _check(scope, arg, fty.dom, max_level)
+            _check(scope, arg, fty.dom)
             return subst1(fty.cod, arg)
         case ElimBool(motive, tcase, fcase, scrut):
-            _check(scope, scrut, Bool(), max_level)
-            _wf_type(scope.extend(Bool()), motive, max_level)
-            _check(scope, tcase, scope.norm(subst1(motive, TrueTm())), max_level)
-            _check(scope, fcase, scope.norm(subst1(motive, FalseTm())), max_level)
+            _check(scope, scrut, Bool())
+            _wf_type(scope.extend(Bool()), motive)
+            _check(scope, tcase, scope.norm(subst1(motive, TrueTm())))
+            _check(scope, fcase, scope.norm(subst1(motive, FalseTm())))
             return subst1(motive, scrut)
         case Code(ty):
-            i = _wf_type(scope, ty, max_level)
-            if i >= max_level:
+            i = _wf_type(scope, ty)
+            if i >= DEFAULT_MAX_LEVEL:
                 raise LevelError(f"no universe holds a code for a level-{i} type")
             return U(i)
         case LiftTm(tm):
-            lifted = Lift(_infer(scope, tm, max_level))
-            _wf_type(scope, lifted, max_level)  # a LevelError past max_level
+            lifted = Lift(_infer(scope, tm))
+            _wf_type(scope, lifted)  # a LevelError past DEFAULT_MAX_LEVEL
             return lifted
         case UnliftTm(tm):
-            ity = scope.norm(_infer(scope, tm, max_level))
+            ity = scope.norm(_infer(scope, tm))
             if isinstance(ity, Lift):
                 return ity.ty
             raise TypeMismatchError(f"unlift expects a lifted term, got type {ity}")
@@ -191,24 +192,24 @@ def _infer(scope: _Scope, t: Term, max_level: int) -> Term:
 
 
 @depth_guarded
-def infer(ctx: Context, t: Term, max_level: int = DEFAULT_MAX_LEVEL) -> Term:
+def infer(ctx: Context, t: Term) -> Term:
     """Synthesize a type for t; the result is well-formed in ctx."""
-    return _infer(_Scope(ctx), t, max_level)
+    return _infer(_Scope(ctx), t)
 
 
 @depth_guarded
-def check(ctx: Context, t: Term, ty: Term, max_level: int = DEFAULT_MAX_LEVEL) -> None:
+def check(ctx: Context, t: Term, ty: Term) -> None:
     """Check t against the type ty, up to conversion.
 
     ty is validated with wf_type and normalized once; the recursion then
     works on the normal form.
     """
     scope = _Scope(ctx)
-    _wf_type(scope, ty, max_level)
-    _check(scope, t, scope.norm(ty), max_level)
+    _wf_type(scope, ty)
+    _check(scope, t, scope.norm(ty))
 
 
-def _check(scope: _Scope, t: Term, expected: Term, max_level: int) -> None:
+def _check(scope: _Scope, t: Term, expected: Term) -> None:
     """Check t against expected, a well-formed type in normal form.
 
     The domain, codomain and lifted type of a normal type are normal, so
@@ -216,38 +217,38 @@ def _check(scope: _Scope, t: Term, expected: Term, max_level: int) -> None:
     """
     match (t, expected):
         case (Lam(body), Pi(dom, cod)):
-            _check(scope.extend(dom), body, cod, max_level)
+            _check(scope.extend(dom), body, cod)
             return
         case (LiftTm(tm), Lift(inner)):
-            _check(scope, tm, inner, max_level)
+            _check(scope, tm, inner)
             return
         case (App(_, _), _):
-            if (bound := _bind_head(scope, t, max_level)) is not None:
+            if (bound := _bind_head(scope, t)) is not None:
                 inner, body, args = bound
-                _check(inner, body, shift(expected, len(args)), max_level)
+                _check(inner, body, shift(expected, len(args)))
                 return
-    actual = scope.norm(_infer(scope, t, max_level))
+    actual = scope.norm(_infer(scope, t))
     if actual != expected:
         raise TypeMismatchError(f"expected type {expected}, got {actual}")
 
 
 @depth_guarded
-def conv_types(ctx: Context, a: Term, b: Term, max_level: int = DEFAULT_MAX_LEVEL) -> bool:
+def conv_types(ctx: Context, a: Term, b: Term) -> bool:
     """Decide definitional equality of two well-formed types."""
     scope = _Scope(ctx)
-    _wf_type(scope, a, max_level)
-    _wf_type(scope, b, max_level)
+    _wf_type(scope, a)
+    _wf_type(scope, b)
     return scope.norm(a) == scope.norm(b)
 
 
 @depth_guarded
-def conv(ctx: Context, ty: Term, a: Term, b: Term, max_level: int = DEFAULT_MAX_LEVEL) -> bool:
+def conv(ctx: Context, ty: Term, a: Term, b: Term) -> bool:
     """Decide conversion of a and b at type ty via normal-form equality."""
     scope = _Scope(ctx)
-    _wf_type(scope, ty, max_level)
+    _wf_type(scope, ty)
     expected = scope.norm(ty)
-    _check(scope, a, expected, max_level)
-    _check(scope, b, expected, max_level)
+    _check(scope, a, expected)
+    _check(scope, b, expected)
     env, depth = scope.reflect(), len(ctx)
     vty = nbe.eval_term(env, ty)
     return nbe.quote(vty, nbe.eval_term(env, a), depth) == nbe.quote(vty, nbe.eval_term(env, b), depth)
