@@ -26,14 +26,18 @@ from .syntax import (
     Lift,
     LiftTm,
     Pi,
+    Renaming,
+    Substitution,
     Term,
     TrueTm,
     U,
     UnliftTm,
     Var,
     depth_guarded,
+    rename_with,
     shift,
     subst1,
+    subst_with,
     term_size,
 )
 
@@ -661,11 +665,9 @@ def gen_context(budget: GenBudget) -> Context:
     return _Gen(budget).context()
 
 
-def gen_closing_substitution(budget: GenBudget, ctx: Context) -> "Substitution":
+def gen_closing_substitution(budget: GenBudget, ctx: Context) -> Substitution:
     """A substitution from the empty context into ctx, one generated closed
     term per entry."""
-    from .syntax import Substitution, subst_with
-
     chosen: list[Term] = []  # outermost first
     for j, entry in enumerate(ctx.entries):
         closed_ty = subst_with(entry, tuple(reversed(chosen)))
@@ -682,11 +684,9 @@ def gen_closing_substitution(budget: GenBudget, ctx: Context) -> "Substitution":
     return Substitution(Context(), ctx, tuple(reversed(chosen)))
 
 
-def gen_renaming(budget: GenBudget, ctx: Context) -> "Renaming":
+def gen_renaming(budget: GenBudget, ctx: Context) -> Renaming:
     """A type-preserving renaming into ctx: its source interleaves fresh
     closed entries among the entries of ctx."""
-    from .syntax import Renaming, rename_with
-
     rng = random.Random(budget.seed)
     junk_pool = (Bool(), Pi(Bool(), Bool()), U(0))
     source_entries: list[Term] = []

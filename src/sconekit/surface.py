@@ -27,6 +27,7 @@ from .syntax import (
     U,
     UnliftTm,
     Var,
+    _map_vars,
     depth_guarded,
     node,
 )
@@ -477,8 +478,6 @@ def _paren(s: str, needed: bool) -> str:
 
 
 def _uses_var0(t: Term) -> bool:
-    from .syntax import _map_vars
-
     found = False
 
     def spot(d: int, ix: int) -> Term:

@@ -1,4 +1,4 @@
-"""Every library module uses each name it imports."""
+"""Every library module uses each name it imports, and imports from each module once."""
 
 import ast
 from pathlib import Path
@@ -25,6 +25,32 @@ def unused_imports(tree: ast.Module) -> list[str]:
     return sorted(name for name in imported if name not in used)
 
 
+def _sources(stmt: ast.ImportFrom) -> set[str]:
+    """The relative modules stmt imports from: .X for `from .X import ...` and for `from . import X`."""
+    dots = "." * stmt.level
+    if stmt.module is None:
+        return {dots + alias.name for alias in stmt.names}
+    return {dots + stmt.module}
+
+
+def local_reimports(tree: ast.Module) -> list[str]:
+    """Names a function imports from a relative module that the top level already imports from.
+
+    A function-level import of a module the top level does not import (a lazy import) passes.
+    """
+    top = set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ImportFrom) and stmt.level:
+            top |= _sources(stmt)
+    found = {}  # ast.walk is breadth-first, so a nested function's name overwrites its parent's
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for stmt in ast.walk(fn):
+                if isinstance(stmt, ast.ImportFrom) and stmt.level and _sources(stmt) & top:
+                    found[id(stmt)] = [f"{fn.name}: {alias.name}" for alias in stmt.names]
+    return sorted(name for names in found.values() for name in names)
+
+
 def test_gate_sees_an_unused_import():
     tree = ast.parse("from .syntax import Bool, ScopeError\nimport os.path\n__all__ = ['Bool']\n")
     assert unused_imports(tree) == ["ScopeError", "os"]
@@ -33,3 +59,17 @@ def test_gate_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_module_uses_every_import(path):
     assert unused_imports(ast.parse(path.read_text())) == [], path.name
+
+
+def test_gate_sees_a_function_level_reimport():
+    tree = ast.parse(
+        "from . import nbe\nfrom .syntax import Bool\n"
+        "def f():\n    from .syntax import Var\n    def g():\n        from . import nbe\n"
+        "def lazy():\n    from . import canonicity\n    from .models import STANDARD\n"
+    )
+    assert local_reimports(tree) == ["f: Var", "g: nbe"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_function_reimports_a_top_level_module(path):
+    assert local_reimports(ast.parse(path.read_text())) == [], path.name
