@@ -119,7 +119,12 @@ class GluedModel(Model):
         return GluedValue(lambda d: Lam(body(_fresh(d)).read(d + 1)), body)
 
     def app(self, fn, arg):
-        sem = NO_WITNESS if fn.sem is NO_WITNESS else fn.sem(arg).sem
+        if fn.sem is NO_WITNESS:
+            sem = NO_WITNESS
+        elif callable(fn.sem):
+            sem = fn.sem(arg).sem
+        else:
+            raise CanonicityError("applied term carried no function witness")
         return GluedValue(lambda d: App(fn.read(d), arg.read(d)), sem)
 
     def bool_(self):
@@ -183,6 +188,7 @@ def glued_eval_type(env: tuple[GluedValue, ...], ty: Term) -> GluedValue:
     return eval_type(GLUED, env, ty)
 
 
+@depth_guarded
 def glued_eval(env: tuple[GluedValue, ...], t: Term) -> GluedValue:
     """Evaluate a term; env is ordered outermost first, as in models."""
     return eval_term(GLUED, env, t)

@@ -32,6 +32,7 @@ from .syntax import (
     UnliftTm,
     Var,
     _map_vars,
+    depth_guarded,
     node,
     shift,
     subst_with,
@@ -70,22 +71,34 @@ def _check_fragment(t: Term) -> None:
         )
 
 
+@depth_guarded
 def param_term(t: Term) -> Term:
     """The witness t*, well-scoped in the doubled context."""
+    return _param_term(t)
+
+
+@depth_guarded
+def param_family(ty: Term) -> Term:
+    """The predicate body A*(-): well-scoped in the doubled context
+    extended by one subject variable at Var 0."""
+    return _param_family(ty)
+
+
+def _param_term(t: Term) -> Term:
     _check_fragment(t)
     match t:
         case Var(ix):
             return Var(2 * ix)
         case Lam(b):
-            return Lam(Lam(param_term(b)))
+            return Lam(Lam(_param_term(b)))
         case App(f, a):
-            return App(App(param_term(f), shadow(a)), param_term(a))
+            return App(App(_param_term(f), shadow(a)), _param_term(a))
         case Code(a):
-            return Lam(Code(param_family(a)))
+            return Lam(Code(_param_family(a)))
         case LiftTm(x):
-            return LiftTm(param_term(x))
+            return LiftTm(_param_term(x))
         case UnliftTm(x):
-            return UnliftTm(param_term(x))
+            return UnliftTm(_param_term(x))
         case Pi(_, _) | U(_) | El(_) | Lift(_):
             raise ParametricityError(
                 "type former in term position; translate it with param_family"
@@ -93,22 +106,20 @@ def param_term(t: Term) -> Term:
     raise ParametricityError(f"unknown term {t!r}")
 
 
-def param_family(ty: Term) -> Term:
-    """The predicate body A*(-): well-scoped in the doubled context
-    extended by one subject variable at Var 0."""
+def _param_family(ty: Term) -> Term:
     _check_fragment(ty)
     match ty:
         case U(level):
             return Pi(El(Var(0)), U(level))
         case El(c):
-            return El(App(shift(param_term(c), 1), Var(0)))
+            return El(App(shift(_param_term(c), 1), Var(0)))
         case Lift(a):
-            return Lift(subst_with(param_family(a), (UnliftTm(Var(0)),), 1))
+            return Lift(subst_with(_param_family(a), (UnliftTm(Var(0)),), 1))
         case Pi(dom, cod):
             dom_base = shift(shadow(dom), 1)
-            dom_pred = subst_with(param_family(dom), (Var(0),), 2)
+            dom_pred = subst_with(_param_family(dom), (Var(0),), 2)
             cod_pred = subst_with(
-                param_family(cod),
+                _param_family(cod),
                 (App(Var(2), Var(1)), Var(0), Var(1)),
                 3,
             )

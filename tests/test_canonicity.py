@@ -146,3 +146,11 @@ def test_out_of_range_variable_is_a_scope_error():
         eval_term(STANDARD, (True, False), Var(4))
     with pytest.raises(ScopeError):
         glued_eval((), Var(0))
+
+
+@pytest.mark.parametrize(
+    "fn", [TrueTm(), Bool(), Code(Bool()), LiftTm(TrueTm())], ids=["true", "Bool", "code", "lift"]
+)
+def test_glued_application_of_a_non_function_is_a_canonicity_error(fn):
+    with pytest.raises(CanonicityError, match="no function witness"):
+        glued_eval((), App(fn, TrueTm()))

@@ -1,14 +1,18 @@
 """Documented errors at the public boundary: ill-typed input and deep terms."""
 
+import random
+
 import pytest
 
 import sconekit
-from sconekit import DepthError, IllTypedError
-from sconekit.canonicity import canon
+from sconekit import DepthError, IllTypedError, oracle
+from sconekit.canonicity import CanonicityError, _fresh, canon, glued_eval
 from sconekit.nbe import LamNf, NeAtBool, VarNe, embed, norm, norm_type
+from sconekit.parametricity import ParametricityError, param_family, param_term, translate
 from sconekit.surface import parse_file_contents, pretty, resolve_term, resolve_type
-from sconekit.syntax import App, Bool, Code, Context, El, Lam, Pi, TrueTm, Var
-from sconekit.typecheck import check, check_context, conv, conv_types, infer, wf_type
+from sconekit.syntax import App, Bool, Code, Context, El, Lam, Pi, ScopeError, TrueTm, U, Var
+from sconekit.typecheck import TypeCheckError, check, check_context, conv, conv_types, infer, wf_type
+from test_typecheck import _MUTATIONS, _replace, _subterms
 
 DEPTH = 3000
 # twice applied to itself 12 times: a 12-deep term with a 4,096-deep normal form
@@ -90,6 +94,9 @@ ENTRY_POINTS = {
     "conv_types": lambda: conv_types(Context(), _deep_pi(), _deep_pi()),
     "embed": lambda: embed(_nested(LamNf, NeAtBool(VarNe(0)))),
     "pretty": lambda: pretty(_nested(Lam, Var(0))),
+    "glued_eval": lambda: glued_eval((), DEEP),
+    "param_term": lambda: param_term(_nested_identity(Var(0))),
+    "param_family": lambda: param_family(_nested(lambda cod: Pi(U(0), cod), U(0))),
 }
 
 
@@ -99,3 +106,44 @@ def test_deep_term_is_a_depth_error(name):
         ENTRY_POINTS[name]()
     assert info.type is DepthError and info.value.__cause__ is None
 
+
+DOCUMENTED = (TypeCheckError, ScopeError, IllTypedError, DepthError, CanonicityError, ParametricityError, oracle.OracleError)
+
+
+def test_mutants_raise_only_documented_errors_and_agree_when_accepted():
+    """Mutate generated terms; every entry point answers or raises a documented
+    error, and NbE agrees with the oracle on every mutant the checker accepts."""
+    accepted = 0
+    for seed in range(200):
+        budget = oracle.GenBudget(seed=seed)
+        try:
+            ctx = oracle.gen_context(budget)
+            ty = oracle.gen_type(budget, ctx)
+            t = oracle.gen_term(budget, ctx, ty)
+        except oracle.NoInhabitantError:
+            continue
+        env = tuple(_fresh(level) for level in range(len(ctx)))
+        rng = random.Random(seed)
+        for _ in range(5):
+            path, sub = rng.choice(list(_subterms(t)))
+            u = _replace(t, path, rng.choice(_MUTATIONS)(sub, rng))
+            calls = {
+                "check": lambda: check(ctx, u, ty),
+                "infer": lambda: infer(ctx, u),
+                "norm": lambda: norm(ctx, ty, u),
+                "conv": lambda: conv(ctx, ty, u, t),
+                "canon": lambda: canon(u),
+                "glued_eval": lambda: glued_eval(env, u),
+                "translate": lambda: translate(u, ty),
+                "oracle_norm": lambda: oracle.oracle_norm(ctx, ty, u),
+            }
+            verdicts = {}
+            for name, call in calls.items():
+                try:
+                    verdicts[name] = call()
+                except DOCUMENTED:
+                    pass
+            if "check" in verdicts:
+                accepted += 1
+                assert embed(verdicts["norm"]) == verdicts["oracle_norm"], (seed, u)
+    assert accepted >= 300, accepted
