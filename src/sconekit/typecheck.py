@@ -33,8 +33,7 @@ from .syntax import (
     subst_with,
 )
 
-# the theory has two universes, U0 and U1; every level lies below this bound
-DEFAULT_MAX_LEVEL = 2
+DEFAULT_MAX_LEVEL = 2  # the universes are U0 and U1
 
 
 class TypeCheckError(Exception):
