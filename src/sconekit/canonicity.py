@@ -183,6 +183,7 @@ _FALSE = GluedValue(FalseTm(), BoolWitness.IS_FALSE)
 GLUED = GluedModel()
 
 
+@depth_guarded
 def glued_eval_type(env: tuple[GluedValue, ...], ty: Term) -> GluedValue:
     """Evaluate a type; env is ordered outermost first, as in models."""
     return eval_type(GLUED, env, ty)

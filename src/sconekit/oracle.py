@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional, TypeVar
 
 from . import nbe
 from .syntax import (
@@ -42,6 +42,7 @@ from .syntax import (
 )
 
 DEFAULT_FUEL = 10_000
+T = TypeVar("T")
 
 
 def default_fuel() -> int:
@@ -77,19 +78,6 @@ class ReductionTrace:
     fuel_exhausted: bool
 
 
-_CHILD_FIELDS = {
-    App: ("fn", "arg"),
-    Lam: ("body",),
-    Pi: ("dom", "cod"),
-    ElimBool: ("motive", "tcase", "fcase", "scrut"),
-    El: ("code",),
-    Code: ("ty",),
-    Lift: ("ty",),
-    LiftTm: ("tm",),
-    UnliftTm: ("tm",),
-}
-
-
 def root_step(t: Term) -> Optional[tuple[Term, str]]:
     """Contract a redex at the root, if any."""
     match t:
@@ -115,16 +103,14 @@ def step(t: Term) -> Optional[tuple[Term, tuple[int, ...], str]]:
     r = root_step(t)
     if r is not None:
         return r[0], (), r[1]
-    fields = _CHILD_FIELDS.get(type(t))
-    if not fields:
-        return None
-    for i, name in enumerate(fields):
-        sub = step(getattr(t, name))
+    for i, name in enumerate(t.__match_args__):
+        child = getattr(t, name)
+        if not isinstance(child, Term):
+            continue
+        sub = step(child)
         if sub is not None:
             new_child, pos, rule = sub
-            replaced = {name: new_child}
-            rebuilt = type(t)(**{f: replaced.get(f, getattr(t, f)) for f in fields})
-            return rebuilt, (i,) + pos, rule
+            return replace(t, **{name: new_child}), (i,) + pos, rule
     return None
 
 
@@ -635,30 +621,28 @@ def _nf_of_normal_type(ty: Term) -> Optional[nbe.Nf]:
     return None
 
 
-def gen_term(budget: GenBudget, ctx: Context, ty: Term) -> Term:
-    """Deterministic from budget.seed; the result typechecks at ty."""
+def _attempts(budget: GenBudget, draw: Callable[[_Gen], T]) -> T:
+    """draw's first success in 40 attempts of one generator, each with a
+    fresh work budget; the last give-up if all 40 give up."""
     gen = _Gen(budget)
     last: Optional[Exception] = None
     for _ in range(40):
         gen.steps = 400
         try:
-            return gen.term(ctx, ty, budget.max_term_size)
+            return draw(gen)
         except NoInhabitantError as e:
             last = e
     raise NoInhabitantError(str(last))
+
+
+def gen_term(budget: GenBudget, ctx: Context, ty: Term) -> Term:
+    """Deterministic from budget.seed; the result typechecks at ty."""
+    return _attempts(budget, lambda gen: gen.term(ctx, ty, budget.max_term_size))
 
 
 def gen_nf(budget: GenBudget, ctx: Context, ty: Term) -> nbe.Nf:
     """A well-typed normal form; ty must be a normal type term."""
-    gen = _Gen(budget)
-    last: Optional[Exception] = None
-    for _ in range(40):
-        gen.steps = 400
-        try:
-            return gen.nf(ctx, ty, budget.max_term_size)
-        except NoInhabitantError as e:
-            last = e
-    raise NoInhabitantError(str(last))
+    return _attempts(budget, lambda gen: gen.nf(ctx, ty, budget.max_term_size))
 
 
 def gen_context(budget: GenBudget) -> Context:
@@ -671,16 +655,7 @@ def gen_closing_substitution(budget: GenBudget, ctx: Context) -> Substitution:
     chosen: list[Term] = []  # outermost first
     for j, entry in enumerate(ctx.entries):
         closed_ty = subst_with(entry, tuple(reversed(chosen)))
-        t = gen_term(
-            GenBudget(
-                max_term_size=budget.max_term_size,
-                max_context_length=budget.max_context_length,
-                seed=budget.seed * 131 + j,
-            ),
-            Context(),
-            closed_ty,
-        )
-        chosen.append(t)
+        chosen.append(gen_term(replace(budget, seed=budget.seed * 131 + j), Context(), closed_ty))
     return Substitution(Context(), ctx, tuple(reversed(chosen)))
 
 

@@ -12,7 +12,6 @@ the witness t* with every Var i re-pointed into the doubled context.
 
 from __future__ import annotations
 
-
 from . import typecheck
 from .syntax import (
     App,
@@ -31,9 +30,9 @@ from .syntax import (
     U,
     UnliftTm,
     Var,
-    _map_vars,
     depth_guarded,
     node,
+    rename_with,
     shift,
     subst_with,
 )
@@ -47,21 +46,11 @@ class UnsupportedFragmentError(ParametricityError):
     """The input uses booleans, which have no relational interpretation here."""
 
 
-def shadow(t: Term, binders: int = 0) -> Term:
-    """Re-point t into the doubled context, ignoring the companions.
-
-    The innermost `binders` variables are local and untouched; every
-    other Var i lands on the original (non-companion) copy at index
-    binders + 2*(i - binders) + 1.
-    """
-
-    def go(depth: int, ix: int) -> Term:
-        k = binders + depth
-        if ix < k:
-            return Var(ix)
-        return Var(k + 2 * (ix - k) + 1)
-
-    return _map_vars(t, 0, go)
+@depth_guarded
+def shadow(t: Term) -> Term:
+    """Re-point t into the doubled context, ignoring the companions: every
+    free Var i lands on the original (non-companion) copy at index 2*i + 1."""
+    return rename_with(t, lambda i: 2 * i + 1)
 
 
 def _check_fragment(t: Term) -> None:

@@ -30,6 +30,8 @@ from sconekit.canonicity import (
     glued_eval,
 )
 
+import generated
+
 NEG = Lam(ElimBool(Bool(), FalseTm(), TrueTm(), Var(0)))
 
 
@@ -51,7 +53,7 @@ def test_canon_rejects_non_boolean():
 def test_witness_projection_is_convertible():
     # witness IsTrue implies conv with true, IsFalse with false
     for seed in range(200):
-        t = oracle.gen_term(oracle.GenBudget(seed=seed), Context(), Bool())
+        t = generated.closed_bool(seed)
         w = canon(t)
         canonical = TrueTm() if w == BoolWitness.IS_TRUE else FalseTm()
         assert typecheck.conv(Context(), Bool(), t, canonical)
@@ -117,7 +119,7 @@ def test_canon_of_long_nary_application():
 
 def test_glued_eval_of_closed_term_projects_to_itself():
     for seed in range(200):
-        t = oracle.gen_term(oracle.GenBudget(seed=seed), Context(), Bool())
+        t = generated.closed_bool(seed)
         assert glued_eval((), t).term == t
     # closed terms at closed Pi, U and Lift types bind variables and eliminate them
     binders = 0

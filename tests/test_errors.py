@@ -4,11 +4,12 @@ import random
 
 import pytest
 
+import generated
 import sconekit
 from sconekit import DepthError, IllTypedError, oracle
-from sconekit.canonicity import CanonicityError, _fresh, canon, glued_eval
+from sconekit.canonicity import CanonicityError, _fresh, canon, glued_eval, glued_eval_type
 from sconekit.nbe import LamNf, NeAtBool, VarNe, embed, norm, norm_type
-from sconekit.parametricity import ParametricityError, param_family, param_term, translate
+from sconekit.parametricity import ParametricityError, param_family, param_term, shadow, translate
 from sconekit.surface import parse_file_contents, pretty, resolve_term, resolve_type
 from sconekit.syntax import App, Bool, Code, Context, El, Lam, Pi, ScopeError, TrueTm, U, Var
 from sconekit.typecheck import TypeCheckError, check, check_context, conv, conv_types, infer, wf_type
@@ -95,8 +96,10 @@ ENTRY_POINTS = {
     "embed": lambda: embed(_nested(LamNf, NeAtBool(VarNe(0)))),
     "pretty": lambda: pretty(_nested(Lam, Var(0))),
     "glued_eval": lambda: glued_eval((), DEEP),
+    "glued_eval_type": lambda: glued_eval_type((), El(_nested_identity(Code(Bool())))),
     "param_term": lambda: param_term(_nested_identity(Var(0))),
     "param_family": lambda: param_family(_nested(lambda cod: Pi(U(0), cod), U(0))),
+    "shadow": lambda: shadow(_deep_pi()),
 }
 
 
@@ -115,12 +118,8 @@ def test_mutants_raise_only_documented_errors_and_agree_when_accepted():
     error, and NbE agrees with the oracle on every mutant the checker accepts."""
     accepted = 0
     for seed in range(200):
-        budget = oracle.GenBudget(seed=seed)
-        try:
-            ctx = oracle.gen_context(budget)
-            ty = oracle.gen_type(budget, ctx)
-            t = oracle.gen_term(budget, ctx, ty)
-        except oracle.NoInhabitantError:
+        ctx, ty, t = generated.term(seed)
+        if t is None:
             continue
         env = tuple(_fresh(level) for level in range(len(ctx)))
         rng = random.Random(seed)

@@ -1,4 +1,5 @@
-"""Every library module uses each name it imports, and imports from each module once."""
+"""Every library and test module uses each name it imports; every library module
+imports from each module once."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "sconekit"
 # __init__.py imports names only to re-export them
 MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
+TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -56,7 +58,7 @@ def test_gate_sees_an_unused_import():
     assert unused_imports(tree) == ["ScopeError", "os"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda path: path.name)
 def test_module_uses_every_import(path):
     assert unused_imports(ast.parse(path.read_text())) == [], path.name
 

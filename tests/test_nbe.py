@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import generated
 import reference_nbe as ref
 from sconekit.surface import parse_file_contents, resolve_term, resolve_type
 from sconekit.syntax import (
@@ -25,7 +26,6 @@ from sconekit.syntax import (
     UnliftTm,
     Var,
     rename,
-    shift,
 )
 from sconekit import models, nbe, oracle, syntax, typecheck
 from sconekit.canonicity import canon
@@ -96,14 +96,10 @@ def test_type_normal_forms():
 def test_normal_form_embedding_typechecks():
     count = 0
     for seed in range(80):
-        budget = oracle.GenBudget(seed=seed)
-        try:
-            ctx = oracle.gen_context(budget)
-            ty = oracle.gen_type(budget, ctx)
-            t = oracle.gen_term(budget, ctx, ty)
-            typecheck.check(ctx, t, ty)
-        except (oracle.NoInhabitantError, typecheck.TypeCheckError):
+        ctx, ty, t = generated.term(seed)
+        if t is None:
             continue
+        typecheck.check(ctx, t, ty)
         nf = norm(ctx, ty, t)
         typecheck.check(ctx, embed(nf), ty)
         count += 1
@@ -112,14 +108,10 @@ def test_normal_form_embedding_typechecks():
 
 def test_norm_is_idempotent_on_its_image():
     for seed in range(60):
-        budget = oracle.GenBudget(seed=seed)
-        try:
-            ctx = oracle.gen_context(budget)
-            ty = oracle.gen_type(budget, ctx)
-            t = oracle.gen_term(budget, ctx, ty)
-            typecheck.check(ctx, t, ty)
-        except (oracle.NoInhabitantError, typecheck.TypeCheckError):
+        ctx, ty, t = generated.term(seed)
+        if t is None:
             continue
+        typecheck.check(ctx, t, ty)
         nf = norm(ctx, ty, t)
         assert norm(ctx, ty, embed(nf)) == nf
 
@@ -186,8 +178,7 @@ def _compare_with_weakening_reference(ctx):
 def test_context_environment_agrees_with_weakening_reference():
     variables = defined = 0
     for seed in range(200):
-        budget = oracle.GenBudget(seed=seed)
-        ctx = oracle.gen_context(budget)
+        ctx = generated.term(seed)[0]
         variables += _compare_with_weakening_reference(ctx)
         small = oracle.GenBudget(seed=seed, max_term_size=6)  # keeps the test under 3 s
         try:
@@ -239,14 +230,10 @@ def test_node_classes_are_slotted_dataclasses():
 def test_norm_agrees_with_index_reference():
     terms = opened = 0
     for seed in range(400):
-        budget = oracle.GenBudget(seed=seed)
-        try:
-            ctx = oracle.gen_context(budget)
-            ty = oracle.gen_type(budget, ctx)
-            t = oracle.gen_term(budget, ctx, ty)
-            typecheck.check(ctx, t, ty)
-        except (oracle.NoInhabitantError, typecheck.TypeCheckError):
+        ctx, ty, t = generated.term(seed)
+        if t is None:
             continue
+        typecheck.check(ctx, t, ty)
         assert norm(ctx, ty, t) == ref.norm(ctx, ty, t), (ctx, ty, t)
         assert norm_type(ctx, ty) == ref.norm_type(ctx, ty), (ctx, ty)
         terms += 1
@@ -379,14 +366,10 @@ def test_neutrals_at_lift_el_and_u():
 def test_restrict_is_natural_with_rename_nf():
     checked = 0
     for seed in range(80):
-        budget = oracle.GenBudget(seed=seed)
-        try:
-            ctx = oracle.gen_context(budget)
-            ty = oracle.gen_type(budget, ctx)
-            t = oracle.gen_term(budget, ctx, ty)
-        except oracle.NoInhabitantError:
+        ctx, ty, t = generated.term(seed)
+        if t is None:
             continue
-        r = oracle.gen_renaming(budget, ctx)
+        r = oracle.gen_renaming(oracle.GenBudget(seed=seed), ctx)
         f = lambda i: r.mapping[i]  # noqa: E731
         env = nbe.reflect_context(ctx)
         vty, v = nbe.eval_term(env, ty), nbe.eval_term(env, t)

@@ -14,7 +14,6 @@ from sconekit.syntax import (
     ElimBool,
     FalseTm,
     Lam,
-    Lift,
     LiftTm,
     Pi,
     TrueTm,
@@ -35,6 +34,8 @@ from sconekit.oracle import (
     oracle_norm_type,
     reduce,
 )
+
+import generated
 
 NEG = Lam(ElimBool(Bool(), FalseTm(), TrueTm(), Var(0)))
 
@@ -130,14 +131,10 @@ def test_deep_term_is_a_depth_error(name):
 def test_generated_terms_typecheck():
     produced = 0
     for seed in range(120):
-        budget = GenBudget(seed=seed)
-        try:
-            ctx = oracle.gen_context(budget)
-            ty = oracle.gen_type(budget, ctx)
-            typecheck.check_context(ctx)
-            typecheck.wf_type(ctx, ty)
-            t = gen_term(budget, ctx, ty)
-        except NoInhabitantError:
+        ctx, ty, t = generated.term(seed)
+        typecheck.check_context(ctx)
+        typecheck.wf_type(ctx, ty)
+        if t is None:
             continue
         typecheck.check(ctx, t, ty)
         produced += 1
@@ -146,8 +143,7 @@ def test_generated_terms_typecheck():
 
 def test_generated_terms_respect_size_budget():
     for seed in range(200):
-        t = gen_term(GenBudget(max_term_size=9, seed=seed), Context(), Bool())
-        assert term_size(t) <= 9
+        assert term_size(generated.closed_bool(seed)) <= 9
 
 
 def test_generator_is_deterministic():
@@ -203,13 +199,10 @@ def test_gen_nf_at_arrow_type_is_eta_long():
 def test_gen_nf_embeddings_typecheck():
     produced = 0
     for seed in range(120):
-        budget = GenBudget(max_term_size=5, seed=seed)
-        try:
-            ctx = oracle.gen_context(budget)
-            ty = oracle.oracle_norm_type(ctx, oracle.gen_type(budget, ctx))
-            nf = gen_nf(budget, ctx, ty)
-        except (NoInhabitantError, oracle.OracleError):
+        item = generated.normal_form(seed)
+        if item is None:
             continue
+        ctx, ty, nf = item
         typecheck.check(ctx, nbe.embed(nf), ty)
         produced += 1
     assert produced >= 60
@@ -225,13 +218,12 @@ def test_uninhabited_type_fails():
 def test_oracle_infer_matches_kernel_up_to_conversion():
     agreed = 0
     for seed in range(80):
-        budget = GenBudget(seed=seed)
+        ctx, _, t = generated.term(seed)
+        if t is None:
+            continue
         try:
-            ctx = oracle.gen_context(budget)
-            ty = oracle.gen_type(budget, ctx)
-            t = gen_term(budget, ctx, ty)
             kernel_ty = typecheck.infer(ctx, t)
-        except (NoInhabitantError, typecheck.TypeCheckError):
+        except typecheck.TypeCheckError:
             continue
         oracle_ty = oracle.oracle_infer(ctx, t)
         assert typecheck.conv_types(ctx, kernel_ty, oracle_ty)

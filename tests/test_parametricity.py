@@ -14,7 +14,6 @@ from sconekit.syntax import (
     Pi,
     TrueTm,
     U,
-    UnliftTm,
     Var,
     subst_with,
 )
@@ -74,7 +73,6 @@ def test_shadow_doubles_free_indices_only():
     # whose original copy sits at doubled index 2*1+1, plus the binder
     t = Lam(App(Var(0), Var(2)))
     assert shadow(t) == Lam(App(Var(0), Var(4)))
-    assert shadow(Var(0), binders=1) == Var(0)
 
 
 def test_code_translation_is_a_predicate():

@@ -26,6 +26,8 @@ from sconekit.surface import (
     resolve_type,
 )
 
+import generated
+
 
 def test_parse_true():
     assert resolve_term(parse("true")) == TrueTm()
@@ -80,12 +82,8 @@ def test_pretty_names_by_binder_depth():
 def test_print_parse_roundtrip_on_generated_closed_terms():
     count = 0
     for seed in range(150):
-        budget = oracle.GenBudget(seed=seed)
-        try:
-            ctx = oracle.gen_context(budget)
-            ty = oracle.gen_type(budget, ctx)
-            t = oracle.gen_term(budget, ctx, ty)
-        except oracle.NoInhabitantError:
+        ctx, _, t = generated.term(seed)
+        if t is None:
             continue
         closed = t
         for _ in ctx.entries:

@@ -40,6 +40,7 @@ from sconekit.typecheck import (
     wf_type,
 )
 
+import generated
 import reference_typecheck as ref
 from test_nbe import _count_calls
 
@@ -130,14 +131,10 @@ def test_conversion_distinguishes_booleans():
 def test_type_preservation_under_renaming():
     preserved = 0
     for seed in range(80):
-        budget = oracle.GenBudget(seed=seed)
-        try:
-            ctx = oracle.gen_context(budget)
-            ty = oracle.gen_type(budget, ctx)
-            t = oracle.gen_term(budget, ctx, ty)
-            check(ctx, t, ty)
-        except (oracle.NoInhabitantError, typecheck.TypeCheckError):
+        ctx, ty, t = generated.term(seed)
+        if t is None:
             continue
+        check(ctx, t, ty)
         r = oracle.gen_renaming(oracle.GenBudget(seed=seed + 1), ctx)
         check(r.source, rename(r, t), rename(r, ty))
         preserved += 1
@@ -151,13 +148,12 @@ def test_check_context_rejects_bad_entry():
 
 def test_infer_result_checks():
     for seed in range(60):
-        budget = oracle.GenBudget(seed=seed)
+        ctx, _, t = generated.term(seed)
+        if t is None:
+            continue
         try:
-            ctx = oracle.gen_context(budget)
-            ty = oracle.gen_type(budget, ctx)
-            t = oracle.gen_term(budget, ctx, ty)
             inferred = infer(ctx, t)
-        except (oracle.NoInhabitantError, typecheck.TypeCheckError):
+        except typecheck.TypeCheckError:
             continue
         check(ctx, t, inferred)
 
@@ -334,12 +330,8 @@ def _outcome(fn):
 def test_checker_agrees_with_substituting_reference():
     verdicts = accepted = redex_mutants = 0
     for seed in range(200):
-        budget = oracle.GenBudget(seed=seed)
-        try:
-            ctx = oracle.gen_context(budget)
-            ty = oracle.gen_type(budget, ctx)
-            t = oracle.gen_term(budget, ctx, ty)
-        except oracle.NoInhabitantError:
+        ctx, ty, t = generated.term(seed)
+        if t is None:
             continue
         rng = random.Random(seed)
         terms = [t]
