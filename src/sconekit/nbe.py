@@ -34,6 +34,7 @@ from .syntax import (
     Var,
     depth_guarded,
     node,
+    rename_with,
 )
 
 IxMap = Callable[[int], int]
@@ -53,43 +54,52 @@ class IllTypedError(TypeError):
 # Neutral and normal forms
 
 
+# Each class declares its node-valued fields and binders in _children, as
+# syntax.Term's subclasses do, so syntax.rename_with renames normal forms.
+
+
 @node
 class Ne:
-    pass
+    _children = ()
 
 
 @node
 class Nf:
-    pass
+    _children = ()
 
 
 @node
 class VarNe(Ne):
     ix: int
+    _children = None
 
 
 @node
 class AppNe(Ne):
     fn: Ne
     arg: Nf
+    _children = (("fn", 0), ("arg", 0))
 
 
 @node
 class ElimBoolNe(Ne):
-    motive: Nf  # binds 1
+    motive: Nf
     tcase: Nf
     fcase: Nf
     scrut: Ne
+    _children = (("motive", 1), ("tcase", 0), ("fcase", 0), ("scrut", 0))
 
 
 @node
 class UnliftNe(Ne):
     tm: Ne
+    _children = (("tm", 0),)
 
 
 @node
 class LamNf(Nf):
-    body: Nf  # binds 1
+    body: Nf
+    _children = (("body", 1),)
 
 
 @node
@@ -105,33 +115,39 @@ class FalseNf(Nf):
 @node
 class CodeNf(Nf):
     ty: Nf
+    _children = (("ty", 0),)
 
 
 @node
 class LiftTmNf(Nf):
     tm: Nf
+    _children = (("tm", 0),)
 
 
 @node
 class NeAtBool(Nf):
     ne: Ne
+    _children = (("ne", 0),)
 
 
 @node
 class NeAtEl(Nf):
     ne: Ne
+    _children = (("ne", 0),)
 
 
 @node
 class NeAtU(Nf):
     ne: Ne
+    _children = (("ne", 0),)
 
 
 # normal types
 @node
 class PiNf(Nf):
     dom: Nf
-    cod: Nf  # binds 1
+    cod: Nf
+    _children = (("dom", 0), ("cod", 1))
 
 
 @node
@@ -147,11 +163,13 @@ class UNf(Nf):
 @node
 class ElNf(Nf):
     ne: Ne
+    _children = (("ne", 0),)
 
 
 @node
 class LiftNf(Nf):
     ty: Nf
+    _children = (("ty", 0),)
 
 
 @depth_guarded
@@ -195,36 +213,7 @@ def _embed(x: Nf | Ne) -> Term:
     raise IllTypedError(f"unknown normal form {x!r}")
 
 
-def _lift_ix(f: IxMap) -> IxMap:
-    return lambda i: 0 if i == 0 else f(i - 1) + 1
-
-
-def rename_ne(ne: Ne, f: IxMap) -> Ne:
-    match ne:
-        case VarNe(ix):
-            return VarNe(f(ix))
-        case AppNe(fn, arg):
-            return AppNe(rename_ne(fn, f), rename_nf(arg, f))
-        case ElimBoolNe(m, t, fc, s):
-            return ElimBoolNe(rename_nf(m, _lift_ix(f)), rename_nf(t, f), rename_nf(fc, f), rename_ne(s, f))
-        case UnliftNe(t):
-            return UnliftNe(rename_ne(t, f))
-    raise IllTypedError(f"unknown neutral {ne!r}")
-
-
-def rename_nf(nf: Nf, f: IxMap) -> Nf:
-    match nf:
-        case LamNf(b):
-            return LamNf(rename_nf(b, _lift_ix(f)))
-        case TrueNf() | FalseNf() | BoolNf() | UNf(_):
-            return nf
-        case CodeNf(t) | LiftTmNf(t) | LiftNf(t):
-            return type(nf)(rename_nf(t, f))
-        case NeAtBool(ne) | NeAtEl(ne) | NeAtU(ne) | ElNf(ne):
-            return type(nf)(rename_ne(ne, f))
-        case PiNf(d, c):
-            return PiNf(rename_nf(d, f), rename_nf(c, _lift_ix(f)))
-    raise IllTypedError(f"unknown normal form {nf!r}")
+rename_ne = rename_nf = rename_with
 
 
 # ---------------------------------------------------------------------------

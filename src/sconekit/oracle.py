@@ -103,11 +103,8 @@ def step(t: Term) -> Optional[tuple[Term, tuple[int, ...], str]]:
     r = root_step(t)
     if r is not None:
         return r[0], (), r[1]
-    for i, name in enumerate(t.__match_args__):
-        child = getattr(t, name)
-        if not isinstance(child, Term):
-            continue
-        sub = step(child)
+    for i, (name, _) in enumerate(t._children or ()):
+        sub = step(getattr(t, name))
         if sub is not None:
             new_child, pos, rule = sub
             return replace(t, **{name: new_child}), (i,) + pos, rule
@@ -308,9 +305,9 @@ def _eta_type(ctx: Context, ty: Term) -> Term:
 
 
 @depth_guarded
-def oracle_norm(ctx: Context, ty: Term, t: Term, fuel: Optional[int] = None) -> Term:
+def oracle_norm(ctx: Context, ty: Term, t: Term) -> Term:
     """Beta-normalize, then eta-expand along ty.  Independent of the NbE path."""
-    return _eta(ctx, ty, beta_normalize(t, fuel))
+    return _eta(ctx, ty, beta_normalize(t))
 
 
 @depth_guarded
@@ -319,8 +316,8 @@ def oracle_norm_type(ctx: Context, ty: Term, fuel: Optional[int] = None) -> Term
 
 
 @depth_guarded
-def oracle_conv(ctx: Context, ty: Term, a: Term, b: Term, fuel: Optional[int] = None) -> bool:
-    return oracle_norm(ctx, ty, a, fuel) == oracle_norm(ctx, ty, b, fuel)
+def oracle_conv(ctx: Context, ty: Term, a: Term, b: Term) -> bool:
+    return oracle_norm(ctx, ty, a) == oracle_norm(ctx, ty, b)
 
 
 # ---------------------------------------------------------------------------
@@ -410,11 +407,9 @@ class _Gen:
                 return El(Var(self.rng.choice(u_vars)))
         raise AssertionError
 
-    def context(self, length: Optional[int] = None) -> Context:
-        if length is None:
-            length = self.rng.randint(0, self.budget.max_context_length)
+    def context(self) -> Context:
         ctx = Context()
-        for _ in range(length):
+        for _ in range(self.rng.randint(0, self.budget.max_context_length)):
             ctx = ctx.extend(self.type_(ctx, 4))
         return ctx
 

@@ -27,7 +27,7 @@ from .syntax import (
     U,
     UnliftTm,
     Var,
-    _map_vars,
+    any_var,
     depth_guarded,
     node,
 )
@@ -447,7 +447,7 @@ def _pp(t: Term, depth: int, prec: int) -> str:
             s = f"{_pp(f, depth, _PREC_APP)} {_pp(a, depth, _PREC_ATOM)}"
             return _paren(s, prec > _PREC_APP)
         case Pi(dom, cod):
-            if _uses_var0(cod):
+            if any_var(cod, lambda d, ix: ix == d):
                 s = f"({_name(depth)} : {_pp(dom, depth, _PREC_LOW)}) -> {_pp(cod, depth + 1, _PREC_ARROW)}"
             else:
                 s = f"{_pp(dom, depth, _PREC_APP)} -> {_pp(cod, depth + 1, _PREC_ARROW)}"
@@ -475,16 +475,3 @@ def _pp(t: Term, depth: int, prec: int) -> str:
 
 def _paren(s: str, needed: bool) -> str:
     return f"({s})" if needed else s
-
-
-def _uses_var0(t: Term) -> bool:
-    found = False
-
-    def spot(d: int, ix: int) -> Term:
-        nonlocal found
-        if ix == d:
-            found = True
-        return Var(ix)
-
-    _map_vars(t, 0, spot)
-    return found

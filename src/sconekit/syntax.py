@@ -19,13 +19,13 @@ class DepthError(RecursionError):
     """A term is nested too deeply for the recursion limit.
 
     The public entry points of typecheck, norm, norm_type, embed, canon,
-    surface.pretty and the oracle's reduce, oracle_norm, oracle_norm_type
-    and oracle_conv raise it instead of a bare RecursionError;
-    sys.setrecursionlimit raises the limit.
+    surface.pretty, term_size, shift, subst1, subst, rename and the
+    oracle's reduce, oracle_norm, oracle_norm_type and oracle_conv raise it
+    instead of a bare RecursionError; sys.setrecursionlimit raises the limit.
     """
 
-    def __init__(self, message: str = "term nested too deeply for the recursion limit") -> None:
-        super().__init__(message)
+    def __init__(self) -> None:
+        super().__init__("term nested too deeply for the recursion limit")
 
 
 def depth_guarded(entry: Callable) -> Callable:
@@ -128,29 +128,42 @@ def _node_code(names, defaulted, eq):
 
 @node
 class Term:
-    pass
+    """A term or type.
+
+    _children lists a node class's node-valued fields in __match_args__
+    order, each with the number of variables it binds; a class that has
+    any has no other field.  None marks a variable class.  Every
+    structural walk (term_size, any_var, renaming, substitution) reads
+    it, for terms and for nbe's normal forms alike.
+    """
+
+    _children = ()
 
 
 @node
 class Var(Term):
     ix: int
+    _children = None
 
 
 @node
 class Lam(Term):
-    body: Term  # binds 1
+    body: Term
+    _children = (("body", 1),)
 
 
 @node
 class App(Term):
     fn: Term
     arg: Term
+    _children = (("fn", 0), ("arg", 0))
 
 
 @node
 class Pi(Term):
     dom: Term
-    cod: Term  # binds 1
+    cod: Term
+    _children = (("dom", 0), ("cod", 1))
 
 
 @node
@@ -170,10 +183,11 @@ class FalseTm(Term):
 
 @node
 class ElimBool(Term):
-    motive: Term  # binds 1, a type over Bool
+    motive: Term  # a type over Bool
     tcase: Term
     fcase: Term
     scrut: Term
+    _children = (("motive", 1), ("tcase", 0), ("fcase", 0), ("scrut", 0))
 
 
 @node
@@ -184,111 +198,96 @@ class U(Term):
 @node
 class El(Term):
     code: Term
+    _children = (("code", 0),)
 
 
 @node
 class Code(Term):
     ty: Term
+    _children = (("ty", 0),)
 
 
 @node
 class Lift(Term):
     ty: Term
+    _children = (("ty", 0),)
 
 
 @node
 class LiftTm(Term):
     tm: Term
+    _children = (("tm", 0),)
 
 
 @node
 class UnliftTm(Term):
     tm: Term
-
-
-def term_size(t: Term) -> int:
-    match t:
-        case Var(_) | Bool() | TrueTm() | FalseTm() | U(_):
-            return 1
-        case Lam(b):
-            return 1 + term_size(b)
-        case App(f, a):
-            return 1 + term_size(f) + term_size(a)
-        case Pi(d, c):
-            return 1 + term_size(d) + term_size(c)
-        case ElimBool(m, t1, t2, s):
-            return 1 + term_size(m) + term_size(t1) + term_size(t2) + term_size(s)
-        case El(c) | Code(c) | Lift(c) | LiftTm(c) | UnliftTm(c):
-            return 1 + term_size(c)
-    raise TypeError(f"unknown term {t!r}")
-
-
-def is_closed(t: Term, depth: int = 0) -> bool:
-    """Whether t, under depth binders, has no free variable."""
-    match t:
-        case Var(ix):
-            return ix < depth
-        case Lam(b):
-            return is_closed(b, depth + 1)
-        case App(f, a):
-            return is_closed(f, depth) and is_closed(a, depth)
-        case Pi(d, c):
-            return is_closed(d, depth) and is_closed(c, depth + 1)
-        case ElimBool(m, t1, t2, s):
-            return is_closed(m, depth + 1) and is_closed(t1, depth) and is_closed(t2, depth) and is_closed(s, depth)
-        case El(c) | Code(c) | Lift(c) | LiftTm(c) | UnliftTm(c):
-            return is_closed(c, depth)
-    return True
+    _children = (("tm", 0),)
 
 
 # ---------------------------------------------------------------------------
-# Variable traversal, renaming, substitution
+# Structural walks over _children: plain loops, so each level of nesting
+# costs one frame
 
 
-def _map_vars(t: Term, depth: int, on_var: Callable[[int, int], Term]) -> Term:
-    """Rebuild t, replacing each Var node via on_var(depth, ix)."""
-    match t:
-        case Var(ix):
-            return on_var(depth, ix)
-        case Lam(b):
-            return Lam(_map_vars(b, depth + 1, on_var))
-        case App(f, a):
-            return App(_map_vars(f, depth, on_var), _map_vars(a, depth, on_var))
-        case Pi(d, c):
-            return Pi(_map_vars(d, depth, on_var), _map_vars(c, depth + 1, on_var))
-        case Bool() | TrueTm() | FalseTm() | U(_):
-            return t
-        case ElimBool(m, t1, t2, s):
-            return ElimBool(
-                _map_vars(m, depth + 1, on_var),
-                _map_vars(t1, depth, on_var),
-                _map_vars(t2, depth, on_var),
-                _map_vars(s, depth, on_var),
-            )
-        case El(c):
-            return El(_map_vars(c, depth, on_var))
-        case Code(c):
-            return Code(_map_vars(c, depth, on_var))
-        case Lift(c):
-            return Lift(_map_vars(c, depth, on_var))
-        case LiftTm(c):
-            return LiftTm(_map_vars(c, depth, on_var))
-        case UnliftTm(c):
-            return UnliftTm(_map_vars(c, depth, on_var))
-    raise TypeError(f"unknown term {t!r}")
+@depth_guarded
+def term_size(t: Term) -> int:
+    """The number of nodes of t."""
+    return _size(t)
+
+
+def _size(t: Term) -> int:
+    n = 1
+    for name, _ in t._children or ():
+        n += _size(getattr(t, name))
+    return n
+
+
+def any_var(t: Term, test: Callable[[int, int], bool]) -> bool:
+    """Whether test(depth, ix) holds of some variable Var ix of t under depth binders."""
+    return _any_var(t, 0, test)
+
+
+def _any_var(t: Term, depth: int, test: Callable[[int, int], bool]) -> bool:
+    children = t._children
+    if children is None:
+        return test(depth, t.ix)
+    for name, binds in children:
+        if _any_var(getattr(t, name), depth + binds, test):
+            return True
+    return False
+
+
+def is_closed(t: Term) -> bool:
+    """Whether t has no free variable."""
+    return not _any_var(t, 0, lambda depth, ix: ix >= depth)
+
+
+def _map_vars(t: Term, depth: int, on_var: Callable[[int, Term], Term]) -> Term:
+    """Rebuild t, replacing each variable node v under depth binders by on_var(depth, v)."""
+    children = t._children
+    if children is None:
+        return on_var(depth, t)
+    if not children:
+        return t
+    args = []
+    for name, binds in children:
+        args.append(_map_vars(getattr(t, name), depth + binds, on_var))
+    return t.__class__(*args)
 
 
 def rename_with(t: Term, on_ix: Callable[[int], int]) -> Term:
-    """Apply on_ix to every free variable index of t."""
+    """Apply on_ix to every free variable index of t, a term or a normal form."""
 
-    def go(depth: int, ix: int) -> Term:
-        if ix < depth:
-            return Var(ix)
-        return Var(on_ix(ix - depth) + depth)
+    def go(depth: int, v: Term) -> Term:
+        if v.ix < depth:
+            return v
+        return v.__class__(on_ix(v.ix - depth) + depth)
 
     return _map_vars(t, 0, go)
 
 
+@depth_guarded
 def shift(t: Term, amount: int) -> Term:
     """Weaken all free variables of t by amount."""
     if amount == 0:
@@ -303,10 +302,10 @@ def subst_with(t: Term, terms: Sequence[Term], tail_shift: int = 0) -> Term:
     Var i becomes Var(i - len(terms) + tail_shift).
     """
 
-    def go(depth: int, ix: int) -> Term:
-        if ix < depth:
-            return Var(ix)
-        j = ix - depth
+    def go(depth: int, v: Var) -> Term:
+        if v.ix < depth:
+            return v
+        j = v.ix - depth
         if j < len(terms):
             return shift(terms[j], depth)
         return Var(j - len(terms) + tail_shift + depth)
@@ -314,6 +313,7 @@ def subst_with(t: Term, terms: Sequence[Term], tail_shift: int = 0) -> Term:
     return _map_vars(t, 0, go)
 
 
+@depth_guarded
 def subst1(t: Term, a: Term) -> Term:
     """Instantiate the innermost bound variable of t (Var 0) with a."""
     return subst_with(t, (a,), 0)
@@ -353,8 +353,6 @@ class Context:
         return shift(self.entries[n - 1 - ix], ix + 1)
 
 
-EMPTY = Context()
-
 
 # ---------------------------------------------------------------------------
 # Renamings and substitutions as typed context morphisms
@@ -371,10 +369,6 @@ class Renaming:
     source: Context
     target: Context
     mapping: tuple[int, ...]
-
-    @staticmethod
-    def identity(ctx: Context) -> "Renaming":
-        return Renaming(ctx, ctx, tuple(range(len(ctx))))
 
     @staticmethod
     def weakening(ctx: Context, ty: Term) -> "Renaming":
@@ -400,6 +394,7 @@ class Renaming:
                 raise ValueError(f"renaming is not type-preserving at target variable {i}")
 
 
+@depth_guarded
 def rename(r: Renaming, t: Term) -> Term:
     def on_ix(i: int) -> int:
         if i >= len(r.mapping):
@@ -422,13 +417,9 @@ class Substitution:
     terms: tuple[Term, ...]
 
     @staticmethod
-    def identity(ctx: Context) -> "Substitution":
-        return Substitution(ctx, ctx, tuple(Var(i) for i in range(len(ctx))))
-
-    @staticmethod
     def closing(terms: Sequence[Term], target: Context) -> "Substitution":
         """A substitution from the empty context, closing every variable."""
-        return Substitution(EMPTY, target, tuple(terms))
+        return Substitution(Context(), target, tuple(terms))
 
     def compose(self, other: "Substitution") -> "Substitution":
         """Composite c with subst(c, t) == subst(other, subst(self, t))."""
@@ -439,11 +430,12 @@ class Substitution:
         )
 
 
+@depth_guarded
 def subst(s: Substitution, t: Term) -> Term:
-    def go(depth: int, ix: int) -> Term:
-        if ix < depth:
-            return Var(ix)
-        j = ix - depth
+    def go(depth: int, v: Var) -> Term:
+        if v.ix < depth:
+            return v
+        j = v.ix - depth
         if j >= len(s.terms):
             raise ScopeError(f"variable {j} not in substitution target")
         return shift(s.terms[j], depth)

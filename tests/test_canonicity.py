@@ -68,8 +68,8 @@ def test_nested_redexes_glue():
 def test_universe_codes_glue():
     # elimBool under El of an eliminated code
     motive = El(ElimBool(U(0), Code(Bool()), Code(Bool()), Var(0)))
-    t = App(Lam(TrueTm()), TrueTm())
-    assert canon(t) == BoolWitness.IS_TRUE
+    assert canon(ElimBool(motive, TrueTm(), FalseTm(), TrueTm())) == BoolWitness.IS_TRUE
+    assert canon(ElimBool(motive, TrueTm(), FalseTm(), FalseTm())) == BoolWitness.IS_FALSE
 
 
 def test_lift_witnesses_unwrap():

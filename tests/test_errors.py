@@ -11,7 +11,27 @@ from sconekit.canonicity import CanonicityError, _fresh, canon, glued_eval, glue
 from sconekit.nbe import LamNf, NeAtBool, VarNe, embed, norm, norm_type
 from sconekit.parametricity import ParametricityError, param_family, param_term, shadow, translate
 from sconekit.surface import parse_file_contents, pretty, resolve_term, resolve_type
-from sconekit.syntax import App, Bool, Code, Context, El, Lam, Pi, ScopeError, TrueTm, U, Var
+from sconekit.syntax import (
+    App,
+    Bool,
+    Code,
+    Context,
+    El,
+    Lam,
+    Pi,
+    Renaming,
+    ScopeError,
+    Substitution,
+    TrueTm,
+    U,
+    Var,
+    is_closed,
+    rename,
+    shift,
+    subst,
+    subst1,
+    term_size,
+)
 from sconekit.typecheck import TypeCheckError, check, check_context, conv, conv_types, infer, wf_type
 from test_typecheck import _MUTATIONS, _replace, _subterms
 
@@ -81,6 +101,7 @@ def test_error_message_shows_no_memory_address():
 DEEP = _nested_identity(TrueTm())
 _exp_term, _exp_ty = parse_file_contents(EXPONENTIAL)
 EXP_TERM, EXP_TY = resolve_term(_exp_term), resolve_type(_exp_ty)
+BOOL_CTX, LAM_CHAIN = Context((Bool(),)), _nested(Lam, Var(0))
 ENTRY_POINTS = {
     "check": lambda: check(Context(), DEEP, Bool()),
     "conv": lambda: conv(Context(), Bool(), DEEP, TrueTm()),
@@ -100,6 +121,11 @@ ENTRY_POINTS = {
     "param_term": lambda: param_term(_nested_identity(Var(0))),
     "param_family": lambda: param_family(_nested(lambda cod: Pi(U(0), cod), U(0))),
     "shadow": lambda: shadow(_deep_pi()),
+    "term_size": lambda: term_size(LAM_CHAIN),
+    "shift": lambda: shift(LAM_CHAIN, 1),
+    "subst1": lambda: subst1(LAM_CHAIN, TrueTm()),
+    "subst": lambda: subst(Substitution(BOOL_CTX, BOOL_CTX, (Var(0),)), LAM_CHAIN),
+    "rename": lambda: rename(Renaming(BOOL_CTX, BOOL_CTX, (0,)), LAM_CHAIN),
 }
 
 
@@ -108,6 +134,16 @@ def test_deep_term_is_a_depth_error(name):
     with pytest.raises(DepthError, match="nested too deeply") as info:
         ENTRY_POINTS[name]()
     assert info.type is DepthError and info.value.__cause__ is None
+
+
+def test_syntax_walks_answer_on_a_400_deep_chain():
+    """Each walk costs one frame per node of nesting, so 400 nested redexes fit the default limit."""
+    t = Var(0)
+    for _ in range(400):
+        t = App(Lam(t), TrueTm())
+    assert term_size(shift(t, 1)) == term_size(subst1(t, TrueTm())) == 1201
+    assert is_closed(t)
+    assert pretty(t).startswith("(fun x0 => ")
 
 
 DOCUMENTED = (TypeCheckError, ScopeError, IllTypedError, DepthError, CanonicityError, ParametricityError, oracle.OracleError)

@@ -1,5 +1,5 @@
 """Every library and test module uses each name it imports; every library module
-imports from each module once."""
+imports from each module once and imports no private name of another."""
 
 import ast
 from pathlib import Path
@@ -53,6 +53,15 @@ def local_reimports(tree: ast.Module) -> list[str]:
     return sorted(found)
 
 
+def private_imports(tree: ast.Module) -> list[str]:
+    """Underscore-prefixed names tree imports from a relative module."""
+    found = []
+    for stmt in ast.walk(tree):
+        if isinstance(stmt, ast.ImportFrom) and stmt.level:
+            found += [alias.name for alias in stmt.names if alias.name.startswith("_")]
+    return sorted(found)
+
+
 def test_gate_sees_an_unused_import():
     tree = ast.parse("from .syntax import Bool, ScopeError\nimport os.path\n__all__ = ['Bool']\n")
     assert unused_imports(tree) == ["ScopeError", "os"]
@@ -75,3 +84,13 @@ def test_gate_sees_a_function_level_reimport():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_function_reimports_a_top_level_module(path):
     assert local_reimports(ast.parse(path.read_text())) == [], path.name
+
+
+def test_gate_sees_a_private_import():
+    tree = ast.parse("from .syntax import Bool, _map_vars\nfrom . import _helpers\nfrom os import _exit\n")
+    assert private_imports(tree) == ["_helpers", "_map_vars"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_module_imports_a_private_name(path):
+    assert private_imports(ast.parse(path.read_text())) == [], path.name

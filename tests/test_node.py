@@ -88,3 +88,30 @@ def test_node_defaults_and_inherited_fields():
     assert surface.SVar.__match_args__ == ("line", "col", "name")
     assert surface.SVar.__slots__ == ("name",)
     assert repr(surface.SVar(1, 2, "x")) == "SVar(line=1, col=2, name='x')"
+
+
+# the fields that bind a variable in their node, each binding exactly one
+BINDERS = {
+    (syntax.Lam, "body"),
+    (syntax.Pi, "cod"),
+    (syntax.ElimBool, "motive"),
+    (nbe.LamNf, "body"),
+    (nbe.PiNf, "cod"),
+    (nbe.ElimBoolNe, "motive"),
+}
+
+
+def test_children_declare_each_node_field_and_its_binders():
+    bases = (syntax.Term, nbe.Nf, nbe.Ne)
+    classes = [cls for cls in NODE_CLASSES if issubclass(cls, bases) and cls not in bases]
+    assert len(classes) == 31
+    for cls in classes:
+        if cls in (syntax.Var, nbe.VarNe):
+            assert cls._children is None
+            continue
+        names = [name for name, _ in cls._children]
+        assert names == [f.name for f in dataclasses.fields(cls) if f.type in ("Term", "Nf", "Ne")], cls
+        # the walks rebuild a node from its children alone
+        assert not names or tuple(names) == cls.__match_args__, cls
+        for name, binds in cls._children:
+            assert binds == (1 if (cls, name) in BINDERS else 0), (cls, name)
