@@ -24,7 +24,7 @@ def _load(path: str) -> tuple[Term, Optional[Term]]:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise UsageError(str(e)) from None
     term_s, ann_s = parse_file_contents(text)
     ann = resolve_type(ann_s) if ann_s is not None else None

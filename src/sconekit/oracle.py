@@ -8,7 +8,6 @@ is the second route of every cross-check.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, TypeVar
@@ -43,10 +42,6 @@ from .syntax import (
 
 DEFAULT_FUEL = 10_000
 T = TypeVar("T")
-
-
-def default_fuel() -> int:
-    return int(os.environ.get("SCONEKIT_FUEL", DEFAULT_FUEL))
 
 
 class OracleError(Exception):
@@ -112,10 +107,8 @@ def step(t: Term) -> Optional[tuple[Term, tuple[int, ...], str]]:
 
 
 @depth_guarded
-def reduce(t: Term, fuel: Optional[int] = None) -> ReductionTrace:
+def reduce(t: Term, fuel: int = DEFAULT_FUEL) -> ReductionTrace:
     """Reduce to beta-normal form, recording each contraction."""
-    if fuel is None:
-        fuel = default_fuel()
     steps: list[ReductionStep] = []
     for _ in range(fuel):
         s = step(t)
@@ -123,17 +116,13 @@ def reduce(t: Term, fuel: Optional[int] = None) -> ReductionTrace:
             return ReductionTrace(tuple(steps), t, False)
         t, pos, rule = s
         steps.append(ReductionStep(pos, rule))
-    if step(t) is None:
-        return ReductionTrace(tuple(steps), t, False)
-    return ReductionTrace(tuple(steps), t, True)
+    return ReductionTrace(tuple(steps), t, step(t) is not None)
 
 
-def beta_normalize(t: Term, fuel: Optional[int] = None) -> Term:
+def beta_normalize(t: Term, fuel: int = DEFAULT_FUEL) -> Term:
     trace = reduce(t, fuel)
     if trace.fuel_exhausted:
-        raise FuelExhaustedError(
-            f"no normal form within {fuel if fuel is not None else default_fuel()} steps"
-        )
+        raise FuelExhaustedError(f"no normal form within {fuel} steps")
     return trace.result
 
 
@@ -148,12 +137,12 @@ _HEAD_FIELD = {
 }
 
 
-def whnf(t: Term, fuel: Optional[int] = None) -> Term:
+def whnf(t: Term, fuel: int = DEFAULT_FUEL) -> Term:
     """Weak head normal form, enough to expose Pi / Bool / U / Lift / El heads.
 
     fuel bounds the number of contractions, those under a head included.
     """
-    return _whnf(t, default_fuel() if fuel is None else fuel)[0]
+    return _whnf(t, fuel)[0]
 
 
 def _whnf(t: Term, fuel: int) -> tuple[Term, int]:
@@ -189,22 +178,25 @@ def oracle_infer(ctx: Context, t: Term) -> Term:
             oracle_infer(ctx, a)
             return oracle_infer(ctx, subst1(b, a))
         case App(f, a):
-            fty = whnf(oracle_infer(ctx, f))
-            if not isinstance(fty, Pi):
-                raise OracleError(f"application head has non-Pi type {fty}")
+            fty = _whnf_as(oracle_infer(ctx, f), Pi, "application head has non-Pi type")
             return subst1(fty.cod, a)
         case ElimBool(m, _, _, s):
             return subst1(m, s)
         case LiftTm(x):
             return Lift(oracle_infer(ctx, x))
         case UnliftTm(x):
-            ity = whnf(oracle_infer(ctx, x))
-            if not isinstance(ity, Lift):
-                raise OracleError(f"unlift of a term of non-Lift type {ity}")
-            return ity.ty
+            return _whnf_as(oracle_infer(ctx, x), Lift, "unlift of a term of non-Lift type").ty
         case Code(a):
             return U(oracle_level(ctx, a))
     raise OracleError(f"cannot reconstruct a type for {t!r}")
+
+
+def _whnf_as(ty: Term, former: type, message: str) -> Term:
+    """The weak head normal form of the type ty, which must be built by former."""
+    ty = whnf(ty)
+    if not isinstance(ty, former):
+        raise OracleError(f"{message} {ty}")
+    return ty
 
 
 def oracle_level(ctx: Context, ty: Term) -> int:
@@ -216,10 +208,7 @@ def oracle_level(ctx: Context, ty: Term) -> int:
         case U(level):
             return level + 1
         case El(c):
-            cty = whnf(oracle_infer(ctx, c))
-            if isinstance(cty, U):
-                return cty.level
-            raise OracleError(f"El of a non-code of type {cty}")
+            return _whnf_as(oracle_infer(ctx, c), U, "El of a non-code of type").level
         case Lift(a):
             return oracle_level(ctx, a) + 1
     raise OracleError(f"{ty} is not a type")
@@ -235,58 +224,50 @@ def _eta(ctx: Context, ty: Term, t: Term) -> Term:
         case Pi(dom, cod):
             body = t.body if isinstance(t, Lam) else App(shift(t, 1), Var(0))
             return Lam(_eta(ctx.extend(dom), cod, body))
-        case Bool():
-            if isinstance(t, (TrueTm, FalseTm)):
-                return t
-            return _eta_neutral(ctx, t)[0]
-        case U(_):
-            # neutrals at a universe stay bare: Code(El c) contracts to c
-            if isinstance(t, Code):
-                return Code(_eta_type(ctx, t.ty))
-            return _eta_neutral(ctx, t)[0]
         case Lift(inner):
-            if isinstance(t, LiftTm):
-                return LiftTm(_eta(ctx, inner, t.tm))
-            return LiftTm(_eta(ctx, inner, UnliftTm(t)))
-        case El(_):
-            return _eta_neutral(ctx, t)[0]
+            tm = t.tm if isinstance(t, LiftTm) else UnliftTm(t)
+            return LiftTm(_eta(ctx, inner, tm))
+        case Bool() if isinstance(t, (TrueTm, FalseTm)):
+            return t
+        case U(_) if isinstance(t, Code):
+            # neutrals at a universe stay bare: Code(El c) contracts to c
+            return Code(_eta_type(ctx, t.ty))
+        case Bool() | U(_) | El(_):
+            return _eta_neutral(ctx, t)
     raise OracleError(f"{ty} is not a type")
 
 
-def _eta_neutral(ctx: Context, t: Term) -> tuple[Term, Term]:
-    """Eta-expand the arguments of a neutral spine; return it with its type."""
+def _eta_neutral(ctx: Context, t: Term) -> Term:
+    """Eta-expand the arguments of a beta-normal neutral spine, whose
+    head's type is reconstructed once and then instantiated per argument."""
+    args: list[Term] = []
+    while isinstance(t, App):
+        args.append(t.arg)
+        t = t.fn
     match t:
-        case Var(ix):
-            return t, ctx.lookup(ix)
-        case App(f, a):
-            f2, fty = _eta_neutral(ctx, f)
-            fty = whnf(fty)
-            if not isinstance(fty, Pi):
-                raise OracleError(f"application head has non-Pi type {fty}")
-            return App(f2, _eta(ctx, fty.dom, a)), subst1(fty.cod, a)
+        case Var():
+            head = t
         case ElimBool(m, t1, t2, s):
-            s2, _ = _eta_neutral(ctx, s)
-            m2 = _eta_type(ctx.extend(Bool()), m)
-            return (
-                ElimBool(
-                    m2,
-                    _eta(ctx, subst1(m, TrueTm()), t1),
-                    _eta(ctx, subst1(m, FalseTm()), t2),
-                    s2,
-                ),
-                subst1(m, s),
+            s2 = _eta_neutral(ctx, s)
+            head = ElimBool(
+                _eta_type(ctx.extend(Bool()), m),
+                _eta(ctx, subst1(m, TrueTm()), t1),
+                _eta(ctx, subst1(m, FalseTm()), t2),
+                s2,
             )
         case UnliftTm(x):
-            x2, xty = _eta_neutral(ctx, x)
-            xty = whnf(xty)
-            if not isinstance(xty, Lift):
-                raise OracleError(f"unlift of a term of non-Lift type {xty}")
-            return UnliftTm(x2), xty.ty
-    raise OracleError(f"{t!r} is not neutral")
+            head = UnliftTm(_eta_neutral(ctx, x))
+        case _:
+            raise OracleError(f"{t!r} is not neutral")
+    ty = oracle_infer(ctx, t)  # a ScopeError for an unbound variable
+    for a in reversed(args):
+        pi = _whnf_as(ty, Pi, "application head has non-Pi type")
+        head, ty = App(head, _eta(ctx, pi.dom, a)), subst1(pi.cod, a)
+    return head
 
 
 def _eta_type(ctx: Context, ty: Term) -> Term:
-    ty = whnf(ty)
+    """Eta-expand the neutrals inside a beta-normal type."""
     match ty:
         case Bool() | U(_):
             return ty
@@ -294,7 +275,7 @@ def _eta_type(ctx: Context, ty: Term) -> Term:
             d2 = _eta_type(ctx, d)
             return Pi(d2, _eta_type(ctx.extend(d2), c))
         case El(c):
-            return El(_eta_neutral(ctx, beta_normalize(c))[0])
+            return El(_eta_neutral(ctx, c))
         case Lift(a):
             return Lift(_eta_type(ctx, a))
     raise OracleError(f"{ty} is not a type")
@@ -311,8 +292,8 @@ def oracle_norm(ctx: Context, ty: Term, t: Term) -> Term:
 
 
 @depth_guarded
-def oracle_norm_type(ctx: Context, ty: Term, fuel: Optional[int] = None) -> Term:
-    return _eta_type(ctx, beta_normalize(ty, fuel))
+def oracle_norm_type(ctx: Context, ty: Term) -> Term:
+    return _eta_type(ctx, beta_normalize(ty))
 
 
 @depth_guarded
@@ -340,7 +321,6 @@ class _Gen:
         self.budget = budget
         self.rng = random.Random(budget.seed)
         self.steps = 0
-        self.fuel = default_fuel()
         self._key_cache: dict = {}
         self._var_cache: dict = {}
 
@@ -354,7 +334,7 @@ class _Gen:
         k = (ctx.entries, ty)
         hit = self._key_cache.get(k)
         if hit is None:
-            hit = self._key_cache[k] = oracle_norm_type(ctx, ty, self.fuel)
+            hit = self._key_cache[k] = oracle_norm_type(ctx, ty)
         return hit
 
     def var_table(self, ctx: Context) -> tuple[tuple[Optional[Term], Optional[Term]], ...]:
@@ -366,7 +346,7 @@ class _Gen:
             for i in range(len(ctx)):
                 ty = ctx.lookup(i)
                 try:
-                    ty_w = whnf(ty, self.fuel)
+                    ty_w = whnf(ty)
                 except OracleError:
                     ty_w = None
                 try:
@@ -419,7 +399,7 @@ class _Gen:
         self._spend()
         if depth > 12:
             raise NoInhabitantError("generation recursion too deep")
-        ty_w = whnf(ty, self.fuel)
+        ty_w = whnf(ty)
         key = self.key(ctx, ty_w)
         thunks = []
 

@@ -27,7 +27,6 @@ from .syntax import (
     U,
     UnliftTm,
     Var,
-    any_var,
     depth_guarded,
     node,
 )
@@ -326,7 +325,7 @@ class _Parser:
             return SFalse(tok.line, tok.col)
         if tok.kind == "ident":
             self.next()
-            if tok.text.startswith("U") and tok.text[1:].isdigit():
+            if tok.text.startswith("U") and tok.text[1:].isdecimal():
                 return SUniv(tok.line, tok.col, int(tok.text[1:]))
             return SVar(tok.line, tok.col, tok.text)
         raise SurfaceError(f"unexpected {tok.text or 'end of input'!r}", tok.line, tok.col)
@@ -415,7 +414,7 @@ def resolve_term(s: SurfaceTerm, scope: tuple[str, ...] = ()) -> Term:
 
 @depth_guarded
 def pretty(t: Term) -> str:
-    return _pp(t, 0, 0)
+    return _pp(t, 0, 0, {})
 
 
 _PREC_ATOM = 3
@@ -428,9 +427,12 @@ def _name(depth: int) -> str:
     return f"x{depth}"
 
 
-def _pp(t: Term, depth: int, prec: int) -> str:
+def _pp(t: Term, depth: int, prec: int, used: dict[int, bool]) -> str:
+    """used[d] records whether a variable bound at depth d has been printed
+    since the Pi at depth d began its codomain."""
     match t:
         case Var(ix):
+            used[depth - 1 - ix] = True
             return _name(depth - 1 - ix)
         case Bool():
             return "Bool"
@@ -441,35 +443,38 @@ def _pp(t: Term, depth: int, prec: int) -> str:
         case U(level):
             return f"U{level}"
         case Lam(b):
-            s = f"fun {_name(depth)} => {_pp(b, depth + 1, _PREC_LOW)}"
+            s = f"fun {_name(depth)} => {_pp(b, depth + 1, _PREC_LOW, used)}"
             return _paren(s, prec > _PREC_LOW)
         case App(f, a):
-            s = f"{_pp(f, depth, _PREC_APP)} {_pp(a, depth, _PREC_ATOM)}"
+            s = f"{_pp(f, depth, _PREC_APP, used)} {_pp(a, depth, _PREC_ATOM, used)}"
             return _paren(s, prec > _PREC_APP)
         case Pi(dom, cod):
-            if any_var(cod, lambda d, ix: ix == d):
-                s = f"({_name(depth)} : {_pp(dom, depth, _PREC_LOW)}) -> {_pp(cod, depth + 1, _PREC_ARROW)}"
+            used[depth] = False
+            cod_s = _pp(cod, depth + 1, _PREC_ARROW, used)
+            if used[depth]:
+                s = f"({_name(depth)} : {_pp(dom, depth, _PREC_LOW, used)}) -> {cod_s}"
             else:
-                s = f"{_pp(dom, depth, _PREC_APP)} -> {_pp(cod, depth + 1, _PREC_ARROW)}"
+                s = f"{_pp(dom, depth, _PREC_APP, used)} -> {cod_s}"
             return _paren(s, prec > _PREC_ARROW)
         case ElimBool(m, t1, t2, s0):
             s = (
-                f"elim {_pp(s0, depth, _PREC_APP)} at {_name(depth)} => "
-                f"{_pp(m, depth + 1, _PREC_ARROW)} | {_pp(t1, depth, _PREC_ARROW)} | {_pp(t2, depth, _PREC_LOW)}"
+                f"elim {_pp(s0, depth, _PREC_APP, used)} at {_name(depth)} => "
+                f"{_pp(m, depth + 1, _PREC_ARROW, used)} | {_pp(t1, depth, _PREC_ARROW, used)} | "
+                f"{_pp(t2, depth, _PREC_LOW, used)}"
             )
             return _paren(s, prec > _PREC_LOW)
         # prefix forms parse only where a whole application may appear, so
         # they take parentheses in function/argument position
         case El(c):
-            return _paren(f"El {_pp(c, depth, _PREC_APP)}", prec >= _PREC_APP)
+            return _paren(f"El {_pp(c, depth, _PREC_APP, used)}", prec >= _PREC_APP)
         case Code(a):
-            return _paren(f"code {_pp(a, depth, _PREC_APP)}", prec >= _PREC_APP)
+            return _paren(f"code {_pp(a, depth, _PREC_APP, used)}", prec >= _PREC_APP)
         case Lift(a):
-            return _paren(f"Lift {_pp(a, depth, _PREC_APP)}", prec >= _PREC_APP)
+            return _paren(f"Lift {_pp(a, depth, _PREC_APP, used)}", prec >= _PREC_APP)
         case LiftTm(x):
-            return _paren(f"lift {_pp(x, depth, _PREC_APP)}", prec >= _PREC_APP)
+            return _paren(f"lift {_pp(x, depth, _PREC_APP, used)}", prec >= _PREC_APP)
         case UnliftTm(x):
-            return _paren(f"unlift {_pp(x, depth, _PREC_APP)}", prec >= _PREC_APP)
+            return _paren(f"unlift {_pp(x, depth, _PREC_APP, used)}", prec >= _PREC_APP)
     raise TypeError(f"unknown term {t!r}")
 
 

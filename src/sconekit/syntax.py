@@ -133,7 +133,7 @@ class Term:
     _children lists a node class's node-valued fields in __match_args__
     order, each with the number of variables it binds; a class that has
     any has no other field.  None marks a variable class.  Every
-    structural walk (term_size, any_var, renaming, substitution) reads
+    structural walk (term_size, is_closed, renaming, substitution) reads
     it, for terms and for nbe's normal forms alike.
     """
 
@@ -243,12 +243,8 @@ def _size(t: Term) -> int:
     return n
 
 
-def any_var(t: Term, test: Callable[[int, int], bool]) -> bool:
-    """Whether test(depth, ix) holds of some variable Var ix of t under depth binders."""
-    return _any_var(t, 0, test)
-
-
 def _any_var(t: Term, depth: int, test: Callable[[int, int], bool]) -> bool:
+    """Whether test(depth, ix) holds of some variable Var ix of t under depth binders."""
     children = t._children
     if children is None:
         return test(depth, t.ix)

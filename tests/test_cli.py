@@ -73,8 +73,21 @@ def test_parse_error_exit_code(files, capsys):
     assert main(["check", files("bad.tt", "fun =>")]) == 2
 
 
+def test_universe_with_a_non_decimal_suffix_is_a_parse_error(files, capsys):
+    assert main(["check", files("bad.tt", "true : U²")]) == 2
+    assert "unknown identifier 'U²'" in capsys.readouterr().err
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["check", "/nonexistent/really.tt"]) == 2
+
+
+def test_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "bad.tt"
+    path.write_bytes(b"tru\xff")
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,5 +1,6 @@
 """Every library and test module uses each name it imports; every library module
-imports from each module once and imports no private name of another."""
+imports from each module once, imports no private name of another and reads
+nothing from the process environment."""
 
 import ast
 from pathlib import Path
@@ -62,6 +63,19 @@ def private_imports(tree: ast.Module) -> list[str]:
     return sorted(found)
 
 
+def environment_reads(tree: ast.Module) -> list[str]:
+    """Uses of os.environ, os.getenv or os.putenv in tree, as attributes of os or imported from it."""
+    names = {"environ", "getenv", "putenv"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "os" and node.attr in names:
+                found.append(f"os.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [f"os.{alias.name}" for alias in node.names if alias.name in names]
+    return sorted(found)
+
+
 def test_gate_sees_an_unused_import():
     tree = ast.parse("from .syntax import Bool, ScopeError\nimport os.path\n__all__ = ['Bool']\n")
     assert unused_imports(tree) == ["ScopeError", "os"]
@@ -94,3 +108,16 @@ def test_gate_sees_a_private_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_module_imports_a_private_name(path):
     assert private_imports(ast.parse(path.read_text())) == [], path.name
+
+
+def test_gate_sees_an_environment_read():
+    tree = ast.parse(
+        "import os\nfrom os import getenv, path\n"
+        "n = int(os.environ.get('N', 1))\nos.putenv('N', '2')\nos.path.join('a')\n"
+    )
+    assert environment_reads(tree) == ["os.environ", "os.getenv", "os.putenv"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_module_reads_the_environment(path):
+    assert environment_reads(ast.parse(path.read_text())) == [], path.name

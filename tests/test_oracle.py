@@ -16,6 +16,7 @@ from sconekit.syntax import (
     Lam,
     LiftTm,
     Pi,
+    ScopeError,
     TrueTm,
     U,
     UnliftTm,
@@ -87,15 +88,39 @@ def test_whnf_fuel_is_shared_with_nested_heads():
         oracle.whnf(t, fuel=119)
 
 
-def test_fuel_env_override(monkeypatch):
-    monkeypatch.setenv("SCONEKIT_FUEL", "123")
-    assert oracle.default_fuel() == 123
-
-
 def test_oracle_norm_eta_expands():
     ctx = Context((Pi(Bool(), Bool()),))
     got = oracle_norm(ctx, Pi(Bool(), Bool()), Var(0))
     assert got == Lam(App(Var(1), Var(0)))
+
+
+def test_unbound_variable_is_a_scope_error():
+    with pytest.raises(ScopeError):
+        oracle_norm(Context(), Bool(), Var(5))
+    with pytest.raises(ScopeError):
+        oracle_norm_type(Context((U(0),)), El(Var(1)))
+
+
+def test_eta_expansion_work_grows_linearly_in_spine_length(monkeypatch):
+    """x true ... true at Bool: the head's type is reconstructed once, not once per argument."""
+    calls = 0
+    original = oracle.oracle_infer
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(oracle, "oracle_infer", counting)
+    work = []
+    for n in (100, 200):
+        ty, t = Bool(), Var(0)
+        for _ in range(n):
+            ty, t = Pi(Bool(), ty), App(t, TrueTm())
+        calls = 0
+        assert oracle_norm(Context((ty,)), Bool(), t) == t
+        work.append(calls)
+    assert work[1] <= 2.2 * work[0], work
 
 
 def test_oracle_conv():
