@@ -24,8 +24,10 @@ def _load(path: str) -> tuple[Term, Optional[Term]]:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except (OSError, UnicodeDecodeError) as e:
+    except OSError as e:  # its text names the file
         raise UsageError(str(e)) from None
+    except UnicodeDecodeError as e:
+        raise UsageError(f"{path}: {e}") from None
     term_s, ann_s = parse_file_contents(text)
     ann = resolve_type(ann_s) if ann_s is not None else None
     return resolve_term(term_s), ann

@@ -50,6 +50,34 @@ class IllTypedError(TypeError):
     """
 
 
+_SHOWN = 300  # the most characters of a value that an error message shows
+
+
+def _show(x: object) -> str:
+    """repr(x), cut after _SHOWN characters and ended with '…'.
+
+    Nodes are read in __match_args__ order and tuples item by item, and
+    only atoms go through repr; so a shared value costs only the text shown.
+    """
+    out, size, todo = [], 0, [(x,)]  # text to write, or a value boxed in a 1-tuple
+    while todo and size <= _SHOWN:
+        item = todo.pop()
+        if isinstance(item, tuple):
+            (x,) = item
+            if isinstance(x, tuple):
+                item, end, fields = "(", ",)" if len(x) == 1 else ")", [("", v) for v in x]
+            elif hasattr(x, "__match_args__"):
+                item, end, fields = f"{type(x).__qualname__}(", ")", [(f"{n}=", getattr(x, n)) for n in x.__match_args__]
+            else:
+                item, end, fields = repr(x), "", []
+            todo.append(end)
+            for i, (label, v) in reversed(list(enumerate(fields))):
+                todo += [(v,), (", " if i else "") + label]
+        out.append(item)
+        size += len(item)
+    return "".join(out)[:_SHOWN] + ("…" if size > _SHOWN else "")
+
+
 # ---------------------------------------------------------------------------
 # Neutral and normal forms
 
@@ -172,6 +200,12 @@ class LiftNf(Nf):
     _children = (("ty", 0),)
 
 
+# The term former of each neutral, normal term and normal type; a NeAt* wrapper embeds as its neutral.
+_FORMER = {VarNe: Var, AppNe: App, ElimBoolNe: ElimBool, UnliftNe: UnliftTm,
+           LamNf: Lam, TrueNf: TrueTm, FalseNf: FalseTm, CodeNf: Code, LiftTmNf: LiftTm,
+           PiNf: Pi, BoolNf: Bool, UNf: U, ElNf: El, LiftNf: Lift}
+
+
 @depth_guarded
 def embed(nf: Nf) -> Term:
     """Forget normality."""
@@ -179,38 +213,16 @@ def embed(nf: Nf) -> Term:
 
 
 def _embed(x: Nf | Ne) -> Term:
-    match x:
-        case VarNe(ix):
-            return Var(ix)
-        case AppNe(f, a):
-            return App(_embed(f), _embed(a))
-        case ElimBoolNe(m, t, f, s):
-            return ElimBool(_embed(m), _embed(t), _embed(f), _embed(s))
-        case UnliftNe(t):
-            return UnliftTm(_embed(t))
-        case LamNf(b):
-            return Lam(_embed(b))
-        case TrueNf():
-            return TrueTm()
-        case FalseNf():
-            return FalseTm()
-        case CodeNf(t):
-            return Code(_embed(t))
-        case LiftTmNf(t):
-            return LiftTm(_embed(t))
-        case NeAtBool(ne) | NeAtEl(ne) | NeAtU(ne):
-            return _embed(ne)
-        case PiNf(d, c):
-            return Pi(_embed(d), _embed(c))
-        case BoolNf():
-            return Bool()
-        case UNf(level):
-            return U(level)
-        case ElNf(ne):
-            return El(_embed(ne))
-        case LiftNf(t):
-            return Lift(_embed(t))
-    raise IllTypedError(f"unknown normal form {x!r}")
+    if isinstance(x, (NeAtBool, NeAtEl, NeAtU)):
+        x = x.ne
+    if (former := _FORMER.get(x.__class__)) is None:
+        raise IllTypedError(f"unknown normal form {_show(x)}")
+    if not x._children:  # a variable, a universe or a constant: its fields are atoms
+        return former(*[getattr(x, name) for name in x.__match_args__])
+    args = []
+    for name, _ in x._children:
+        args.append(_embed(getattr(x, name)))
+    return former(*args)
 
 
 rename_ne = rename_nf = rename_with
@@ -342,7 +354,7 @@ def apply_val(fn: Val, arg: Val) -> Val:
             return clo(arg)
         case VNe(VPi(dom, cod), ne):
             return VNe(cod(arg), AppFrame(ne, arg, dom))
-    raise IllTypedError(f"cannot apply non-function value {fn!r}")
+    raise IllTypedError(f"cannot apply non-function value {_show(fn)}")
 
 
 def _elim_bool(motive: Clo, vt: Val, vf: Val, scrut: Val) -> Val:
@@ -353,7 +365,7 @@ def _elim_bool(motive: Clo, vt: Val, vf: Val, scrut: Val) -> Val:
             return vf
         case VNe(_, ne):
             return VNe(motive(scrut), ElimFrame(ne, motive, vt, vf))
-    raise IllTypedError(f"boolean eliminator applied to {scrut!r}")
+    raise IllTypedError(f"boolean eliminator applied to {_show(scrut)}")
 
 
 class NbeModel(Model):
@@ -381,7 +393,7 @@ class NbeModel(Model):
             return tm.inner
         if isinstance(tm, VNe) and isinstance(tm.vty, VLift):
             return VNe(tm.vty.ty, UnliftFrame(tm.ne))
-        raise IllTypedError(f"cannot unlift {tm!r}")
+        raise IllTypedError(f"cannot unlift {_show(tm)}")
 
 
 NBE = NbeModel()
@@ -424,7 +436,7 @@ def quote(vty: Val, v: Val, depth: int = 0) -> Nf:
                     return LiftTmNf(quote(inner, w, depth))
                 case VNe(_, ne):
                     return LiftTmNf(quote(inner, VNe(inner, UnliftFrame(ne)), depth))
-    raise IllTypedError(f"cannot quote {v!r} at type {vty!r}")
+    raise IllTypedError(f"cannot quote {_show(v)} at type {_show(vty)}")
 
 
 def quote_type(vty: Val, depth: int = 0) -> Nf:
@@ -439,7 +451,7 @@ def quote_type(vty: Val, depth: int = 0) -> Nf:
             return ElNf(quote_ne(ne, depth))
         case VLift(inner):
             return LiftNf(quote_type(inner, depth))
-    raise IllTypedError(f"cannot quote type value {vty!r}")
+    raise IllTypedError(f"cannot quote type value {_show(vty)}")
 
 
 def quote_ne(ne: SemNe, depth: int) -> Ne:
@@ -455,7 +467,7 @@ def quote_ne(ne: SemNe, depth: int) -> Ne:
             return ElimBoolNe(motive_nf, tcase, fcase, scrut_ne)
         case UnliftFrame(t):
             return UnliftNe(quote_ne(t, depth))
-    raise IllTypedError(f"unknown neutral {ne!r}")
+    raise IllTypedError(f"unknown neutral {_show(ne)}")
 
 
 # ---------------------------------------------------------------------------

@@ -80,9 +80,16 @@ class _Scope:
             scope.env = env = nbe.reflect_context(scope.ctx, env, 0)
         return env
 
-    def norm(self, ty: Term) -> Term:
+    def norm(self, ty: Term) -> nbe.Nf:
         env = self.env if len(self.env) == len(self.ctx) or is_closed(ty) else self.reflect()
-        return nbe.embed(nbe.quote_type(nbe.eval_term(env, ty), len(self.ctx)))
+        return nbe.quote_type(nbe.eval_term(env, ty), len(self.ctx))
+
+
+def _infer_as(scope: _Scope, t: Term, former: type, message: str) -> nbe.Nf:
+    """The normal form of t's type, which former must build; else message, {} filled with that type."""
+    if isinstance(nf := scope.norm(_infer(scope, t)), former):
+        return nf
+    raise TypeMismatchError(message.format(nbe.embed(nf)))
 
 
 def _wf_type(scope: _Scope, ty: Term) -> int:
@@ -98,10 +105,7 @@ def _wf_type(scope: _Scope, ty: Term) -> int:
                 raise LevelError(f"universe level {level} exceeds maximum {DEFAULT_MAX_LEVEL - 1}")
             return level + 1
         case El(code):
-            cty = scope.norm(_infer(scope, code))
-            if isinstance(cty, U):
-                return cty.level
-            raise TypeMismatchError(f"El expects a universe code, got a term of type {cty}")
+            return _infer_as(scope, code, nbe.UNf, "El expects a universe code, got a term of type {}").level
         case Lift(inner):
             i = _wf_type(scope, inner) + 1
             if i > DEFAULT_MAX_LEVEL:
@@ -158,13 +162,11 @@ def _infer(scope: _Scope, t: Term) -> Term:
             if (bound := _bind_head(scope, t)) is not None:
                 inner, body, args = bound
                 return subst_with(_infer(inner, body), args[::-1])
-            fty = scope.norm(_infer(scope, fn))
-            if not isinstance(fty, Pi):
-                raise TypeMismatchError(f"{fty} is not a Π-type")
+            fty = _infer_as(scope, fn, nbe.PiNf, "{} is not a Π-type")
             _check(scope, arg, fty.dom)
-            return subst1(fty.cod, arg)
+            return subst1(nbe.embed(fty.cod), arg)
         case ElimBool(motive, tcase, fcase, scrut):
-            _check(scope, scrut, Bool())
+            _check(scope, scrut, nbe.BoolNf())
             _wf_type(scope.extend(Bool()), motive)
             _check(scope, tcase, scope.norm(subst1(motive, TrueTm())))
             _check(scope, fcase, scope.norm(subst1(motive, FalseTm())))
@@ -179,10 +181,7 @@ def _infer(scope: _Scope, t: Term) -> Term:
             _wf_type(scope, lifted)  # a LevelError past DEFAULT_MAX_LEVEL
             return lifted
         case UnliftTm(tm):
-            ity = scope.norm(_infer(scope, tm))
-            if isinstance(ity, Lift):
-                return ity.ty
-            raise TypeMismatchError(f"unlift expects a lifted term, got type {ity}")
+            return nbe.embed(_infer_as(scope, tm, nbe.LiftNf, "unlift expects a lifted term, got type {}").ty)
         case Lam(_):
             raise NotInferableError("unannotated lambda in inference position")
         case Pi(_, _) | Bool() | U(_) | El(_) | Lift(_):
@@ -208,17 +207,17 @@ def check(ctx: Context, t: Term, ty: Term) -> None:
     _check(scope, t, scope.norm(ty))
 
 
-def _check(scope: _Scope, t: Term, expected: Term) -> None:
-    """Check t against expected, a well-formed type in normal form.
+def _check(scope: _Scope, t: Term, expected: nbe.Nf) -> None:
+    """Check t against expected, the normal form of a well-formed type.
 
     The domain, codomain and lifted type of a normal type are normal, so
     nothing is normalized again on the way down.
     """
     match (t, expected):
-        case (Lam(body), Pi(dom, cod)):
-            _check(scope.extend(dom), body, cod)
+        case (Lam(body), nbe.PiNf(dom, cod)):
+            _check(scope.extend(nbe.embed(dom)), body, cod)
             return
-        case (LiftTm(tm), Lift(inner)):
+        case (LiftTm(tm), nbe.LiftNf(inner)):
             _check(scope, tm, inner)
             return
         case (App(_, _), _):
@@ -228,7 +227,7 @@ def _check(scope: _Scope, t: Term, expected: Term) -> None:
                 return
     actual = scope.norm(_infer(scope, t))
     if actual != expected:
-        raise TypeMismatchError(f"expected type {expected}, got {actual}")
+        raise TypeMismatchError(f"expected type {nbe.embed(expected)}, got {nbe.embed(actual)}")
 
 
 @depth_guarded

@@ -88,6 +88,15 @@ def test_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
     assert main(["check", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
+    assert str(path) in err, err
+
+
+def test_conv_names_the_file_that_is_not_utf8(files, tmp_path, capsys):
+    good, bad = files("a.tt", "true"), tmp_path / "b.tt"
+    bad.write_bytes(b"tru\xff")
+    assert main(["conv", good, str(bad), "--type", "Bool"]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and good not in err, err
 
 
 def test_usage_error_exit_code(capsys):

@@ -17,6 +17,7 @@ from sconekit.syntax import (
     Code,
     Context,
     El,
+    ElimBool,
     Lam,
     Pi,
     Renaming,
@@ -89,6 +90,16 @@ def test_check_in_a_context_whose_entry_is_no_type():
 def test_norm_of_an_ill_typed_term():
     with pytest.raises(IllTypedError, match="cannot quote VLam"):
         norm(Context(), Bool(), Lam(Var(0)))
+
+
+def test_error_message_is_bounded():
+    """A stuck value that shares its spine shows a cut repr, not the exponential tree it spells out."""
+    t = Var(0)
+    for _ in range(10):  # a 71-node term whose value's repr runs to 61 MB
+        t = App(Lam(ElimBool(Bool(), Var(0), Var(0), Var(0))), t)
+    with pytest.raises(IllTypedError, match="cannot quote VBool") as info:
+        norm(Context((Bool(),)), t, Bool())  # term and type swapped
+    assert len(str(info.value)) <= 400
 
 
 def test_error_message_shows_no_memory_address():

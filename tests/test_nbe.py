@@ -93,6 +93,38 @@ def test_type_normal_forms():
     assert norm_type(Context(), Pi(Bool(), El(Code(Bool())))) == PiNf(BoolNf(), BoolNf())
 
 
+_TERM_FORMER = {
+    VarNe: Var,
+    AppNe: App,
+    ElimBoolNe: ElimBool,
+    UnliftNe: UnliftTm,
+    LamNf: Lam,
+    TrueNf: TrueTm,
+    FalseNf: FalseTm,
+    CodeNf: Code,
+    LiftTmNf: LiftTm,
+    NeAtBool: Var,
+    NeAtEl: Var,
+    NeAtU: Var,
+    PiNf: Pi,
+    BoolNf: Bool,
+    UNf: U,
+    ElNf: El,
+    nbe.LiftNf: Lift,
+}
+_NORMAL_FORM_CLASSES = [
+    c for c in vars(nbe).values() if isinstance(c, type) and issubclass(c, (nbe.Nf, nbe.Ne)) and c not in (nbe.Nf, nbe.Ne)
+]
+
+
+@pytest.mark.parametrize("cls", _NORMAL_FORM_CLASSES, ids=lambda c: c.__name__)
+def test_every_normal_form_class_embeds(cls):
+    """Node fields hold the neutral VarNe(0), and ix and level 0; a NeAt* wrapper embeds as its neutral."""
+    nodes = {name for name, _ in cls._children or ()}
+    nf = cls(*[VarNe(0) if name in nodes else 0 for name in cls.__match_args__])
+    assert type(embed(nf)) is _TERM_FORMER[cls]
+
+
 def test_normal_form_embedding_typechecks():
     count = 0
     for seed in range(80):

@@ -210,6 +210,20 @@ def test_redex_nesting_work_grows_linearly(monkeypatch):
     assert 0 < work[1] <= 2.2 * work[0], work
 
 
+def test_checker_embeds_a_normal_type_only_to_bind_it(monkeypatch):
+    """Normal types stay nbe normal forms: dup(k) embeds none, and each binder opened embeds its domain."""
+    calls = _count_calls(monkeypatch, ("embed",))
+    for k in (10, 20):
+        check(Context(), _dup(k), Bool())
+        assert calls["embed"] == 0, k
+    n = 30
+    t, ty = Var(n - 1), Bool()
+    for _ in range(n):
+        t, ty = Lam(t), Pi(Bool(), ty)
+    check(Context(), t, ty)
+    assert calls["embed"] <= n
+
+
 def test_nary_redex_binds_every_argument():
     # (fun x y z => elim y at _ => Bool | x | z) true true false : Bool
     body = ElimBool(Bool(), Var(2), Var(0), Var(1))
