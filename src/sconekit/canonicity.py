@@ -21,7 +21,7 @@ import enum
 from typing import Any, Callable
 
 from . import typecheck
-from .models import Model, eval_term, eval_type
+from .models import Model, eval_term, eval_type, show
 from .syntax import (
     App,
     Bool,
@@ -201,5 +201,5 @@ def canon(t: Term) -> BoolWitness:
     typecheck.check(Context(), t, Bool())
     witness = glued_eval((), t).sem
     if not isinstance(witness, BoolWitness):
-        raise CanonicityError(f"non-boolean witness {witness!r}")
+        raise CanonicityError(f"non-boolean witness {show(witness)}")
     return witness

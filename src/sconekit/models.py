@@ -2,8 +2,12 @@
 
 A Model packages one carrier operation per former, with binders taken as
 meta-level functions.  eval_term interprets syntax, terms and types alike,
-into any model; each binder becomes a Clo, and environments are ordered
-outermost first.  StandardModel interprets types as small enumerable sets,
+into any model; each binder becomes a Clo over an Env, a persistent chain
+of cells with the innermost value first, so opening a binder is O(1).
+Callers may pass an environment as a tuple ordered outermost first, which
+is converted once.  Only this module reads an Env's cells; other modules
+build one with env_of or Env.extend and read it by len, iteration and
+reversed.  StandardModel interprets types as small enumerable sets,
 which makes the semantic equations samplable in tests.  Glued evaluation
 is the model canonicity.GLUED, and normalization by evaluation the model
 nbe.NBE.
@@ -12,8 +16,9 @@ nbe.NBE.
 from __future__ import annotations
 
 import itertools
+import operator
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .syntax import (
     App,
@@ -39,6 +44,37 @@ from .syntax import (
 
 class ModelError(Exception):
     pass
+
+
+SHOWN = 300  # the most characters of a term or value that an error message shows
+
+
+def show(x: object) -> str:
+    """repr(x), cut after SHOWN characters and ended with '…'.
+
+    Nodes are read in __match_args__ order, tuples and environments item by
+    item, and only atoms go through repr; so a shared value costs only the
+    text shown.
+    """
+    out, size, todo = [], 0, [(x,)]  # text to write, or a value boxed in a 1-tuple
+    while todo and size <= SHOWN:
+        item = todo.pop()
+        if isinstance(item, tuple):
+            (x,) = item
+            if isinstance(x, tuple):
+                item, end, fields = "(", ",)" if len(x) == 1 else ")", [("", v) for v in x]
+            elif isinstance(x, Env):
+                item, end, fields = "Env(", ")", [("", v) for v in x]
+            elif hasattr(x, "__match_args__"):
+                item, end, fields = f"{type(x).__qualname__}(", ")", [(f"{n}=", getattr(x, n)) for n in x.__match_args__]
+            else:
+                item, end, fields = repr(x), "", []
+            todo.append(end)
+            for i, (label, v) in reversed(list(enumerate(fields))):
+                todo += [(v,), (", " if i else "") + label]
+        out.append(item)
+        size += len(item)
+    return "".join(out)[:SHOWN] + ("…" if size > SHOWN else "")
 
 
 class Model(ABC):
@@ -89,70 +125,136 @@ class Model(ABC):
     def unlift_tm(self, tm: Any) -> Any: ...
 
 
+class Env:
+    """An environment: a persistent chain of cells, each holding one value
+    (head) and the environment outside it (tail); Var 0 is the head.
+
+    Extending one is O(1) and shares the cells it extends; Var ix walks ix
+    cells.  len, iteration (outermost first, as in the tuple form) and
+    reversed work as on a tuple.
+    """
+
+    __slots__ = ("head", "tail", "length")
+
+    def __init__(self, head: Any, tail: Env) -> None:
+        self.head, self.tail, self.length = head, tail, tail.length + 1
+
+    def extend(self, value: Any) -> Env:
+        return Env(value, self)
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __reversed__(self) -> Iterator[Any]:
+        env = self
+        while env.length:
+            yield env.head
+            env = env.tail
+
+    def __iter__(self) -> Iterator[Any]:
+        return reversed(list(reversed(self)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Env:
+            return NotImplemented
+        return self.length == other.length and all(map(operator.eq, reversed(self), reversed(other)))
+
+    def __hash__(self) -> int:
+        return hash(tuple(reversed(self)))
+
+    def __repr__(self) -> str:
+        return f"Env({', '.join(map(repr, self))})"
+
+
+_EMPTY = object.__new__(Env)
+_EMPTY.length = 0
+
+
+def env_of(values: Iterable[Any]) -> Env:
+    """The environment of values, ordered outermost first; an Env is returned as it is."""
+    if values.__class__ is Env:
+        return values  # type: ignore[return-value]
+    env = _EMPTY
+    for v in values:
+        env = Env(v, env)
+    return env
+
+
 @node
 class Clo:
     """A binder's body under its captured environment, awaiting the binder's value."""
 
     model: Model
-    env: tuple
+    env: Env
     body: Term
 
     def __call__(self, a: Any) -> Any:
-        return eval_term(self.model, self.env + (a,), self.body)
+        return eval_term(self.model, Env(a, self.env), self.body)
 
 
-def eval_term(model: Model, env: tuple, t: Term) -> Any:
-    """Interpret t, a term or a type, in model; env is ordered outermost first."""
-    match t:
-        case Var(ix):
-            if not 0 <= ix < len(env):
-                raise ScopeError(f"variable {ix} out of range in environment of length {len(env)}")
-            return env[len(env) - 1 - ix]
-        case App(f, a):
-            return model.app(eval_term(model, env, f), eval_term(model, env, a))
-        case Lam(b):
-            return model.lam(Clo(model, env, b))
-        case Pi(dom, cod):
-            return model.pi(eval_term(model, env, dom), Clo(model, env, cod))
-        case Bool():
-            return model.bool_()
-        case TrueTm():
-            return model.true()
-        case FalseTm():
-            return model.false()
-        case ElimBool(m, t1, t2, s):
-            return model.elim_bool(
-                Clo(model, env, m),
-                eval_term(model, env, t1),
-                eval_term(model, env, t2),
-                eval_term(model, env, s),
-            )
-        case U(level):
-            return model.u(level)
-        case El(c):
-            return model.el(eval_term(model, env, c))
-        case Code(a):
-            return model.code(eval_term(model, env, a))
-        case Lift(a):
-            return model.lift(eval_term(model, env, a))
-        case LiftTm(x):
-            return model.lift_tm(eval_term(model, env, x))
-        case UnliftTm(x):
-            return model.unlift_tm(eval_term(model, env, x))
-    raise ModelError(f"{t!r} is not interpretable")
+def eval_term(model: Model, env: Iterable[Any], t: Term) -> Any:
+    """Interpret t, a term or a type, in model.
+
+    env is an Env, or a sequence of values ordered outermost first, which
+    is converted once; the recursion passes the Env on.  Formers are tested
+    by identity, the most frequent on the benchmark's workloads first.
+    """
+    if env.__class__ is not Env:
+        env = env_of(env)
+    cls = t.__class__
+    if cls is Bool:
+        return model.bool_()
+    if cls is Pi:
+        return model.pi(eval_term(model, env, t.dom), Clo(model, env, t.cod))
+    if cls is Lam:
+        return model.lam(Clo(model, env, t.body))
+    if cls is Var:
+        ix = t.ix
+        if not 0 <= ix < env.length:
+            raise ScopeError(f"variable {ix} out of range in environment of length {env.length}")
+        while ix:
+            env, ix = env.tail, ix - 1
+        return env.head
+    if cls is App:
+        return model.app(eval_term(model, env, t.fn), eval_term(model, env, t.arg))
+    if cls is U:
+        return model.u(t.level)
+    if cls is FalseTm:
+        return model.false()
+    if cls is TrueTm:
+        return model.true()
+    if cls is Lift:
+        return model.lift(eval_term(model, env, t.ty))
+    if cls is El:
+        return model.el(eval_term(model, env, t.code))
+    if cls is ElimBool:
+        return model.elim_bool(
+            Clo(model, env, t.motive),
+            eval_term(model, env, t.tcase),
+            eval_term(model, env, t.fcase),
+            eval_term(model, env, t.scrut),
+        )
+    if cls is Code:
+        return model.code(eval_term(model, env, t.ty))
+    if cls is LiftTm:
+        return model.lift_tm(eval_term(model, env, t.tm))
+    if cls is UnliftTm:
+        return model.unlift_tm(eval_term(model, env, t.tm))
+    raise ModelError(f"{show(t)} is not interpretable")
 
 
-def eval_type(model: Model, env: tuple, ty: Term) -> Any:
+def eval_type(model: Model, env: Iterable[Any], ty: Term) -> Any:
     """eval_term: syntax has one sort, and the type checker tells types from terms."""
     return eval_term(model, env, ty)
 
 
-def eval_substitution(model: Model, env: tuple, s: Substitution) -> tuple:
+def eval_substitution(model: Model, env: Iterable[Any], s: Substitution) -> tuple:
     """Interpret a substitution as an environment for its target context.
 
     s.terms[i] substitutes Var i (innermost first); environments are
     ordered outermost first, so the tuple is reversed.
     """
+    env = env_of(env)
     return tuple(eval_term(model, env, t) for t in reversed(s.terms))
 
 
@@ -274,7 +376,7 @@ def elements(sty: Any) -> list[Any]:
             _TableFn(sty.dom, list(zip(dom_elems, results)))
             for results in itertools.islice(tables, _ENUM_CAP)
         ]
-    raise ModelError(f"cannot enumerate {sty!r}")
+    raise ModelError(f"cannot enumerate {show(sty)}")
 
 
 def types_equal(t1: Any, t2: Any) -> bool:
@@ -304,4 +406,4 @@ def values_equal(sty: Any, v1: Any, v2: Any) -> bool:
         return all(
             values_equal(sty.cod(a), v1(a), v2(a)) for a in elements(sty.dom)
         )
-    raise ModelError(f"cannot compare elements of {sty!r}")
+    raise ModelError(f"cannot compare elements of {show(sty)}")

@@ -1,20 +1,22 @@
 """Normalization by evaluation: the model NBE, run by models.eval_term.
 
-Values keep binders as models.Clo closures, and neutrals at de Bruijn
-levels: the ambient context's variable of index i sits at level -1-i,
-and the binder that quote opens at depth d at level d.  So a value keeps
-its meaning under new binders and nothing is ever weakened.  A stuck
-value keeps its spine unquoted; quote reads it back at its depth, level
-l as index depth-1-l, and yields typed, eta-long beta-normal forms.
+Values keep binders as models.Clo closures over models' environments,
+which a binder extends in O(1); eval_term and reflect_context also take
+a tuple ordered outermost first.  Neutrals sit at de Bruijn levels: the
+ambient context's variable of index i sits at level -1-i, and the binder
+that quote opens at depth d at level d.  So a value keeps its meaning
+under new binders and nothing is ever weakened.  A stuck value keeps its
+spine unquoted; quote reads it back at its depth, level l as index
+depth-1-l, and yields typed, eta-long beta-normal forms.
 """
 
 from __future__ import annotations
 
 from itertools import zip_longest
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import models
-from .models import Clo, Model
+from .models import Clo, Model, show
 from .syntax import (
     App,
     Bool,
@@ -48,34 +50,6 @@ class IllTypedError(TypeError):
     of a stuck application and the branches of a stuck eliminator are read
     only by quote: an ill-typed one raises there, or never if discarded.
     """
-
-
-_SHOWN = 300  # the most characters of a value that an error message shows
-
-
-def _show(x: object) -> str:
-    """repr(x), cut after _SHOWN characters and ended with '…'.
-
-    Nodes are read in __match_args__ order and tuples item by item, and
-    only atoms go through repr; so a shared value costs only the text shown.
-    """
-    out, size, todo = [], 0, [(x,)]  # text to write, or a value boxed in a 1-tuple
-    while todo and size <= _SHOWN:
-        item = todo.pop()
-        if isinstance(item, tuple):
-            (x,) = item
-            if isinstance(x, tuple):
-                item, end, fields = "(", ",)" if len(x) == 1 else ")", [("", v) for v in x]
-            elif hasattr(x, "__match_args__"):
-                item, end, fields = f"{type(x).__qualname__}(", ")", [(f"{n}=", getattr(x, n)) for n in x.__match_args__]
-            else:
-                item, end, fields = repr(x), "", []
-            todo.append(end)
-            for i, (label, v) in reversed(list(enumerate(fields))):
-                todo += [(v,), (", " if i else "") + label]
-        out.append(item)
-        size += len(item)
-    return "".join(out)[:_SHOWN] + ("…" if size > _SHOWN else "")
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +190,7 @@ def _embed(x: Nf | Ne) -> Term:
     if isinstance(x, (NeAtBool, NeAtEl, NeAtU)):
         x = x.ne
     if (former := _FORMER.get(x.__class__)) is None:
-        raise IllTypedError(f"unknown normal form {_show(x)}")
+        raise IllTypedError(f"unknown normal form {show(x)}")
     if not x._children:  # a variable, a universe or a constant: its fields are atoms
         return former(*[getattr(x, name) for name in x.__match_args__])
     args = []
@@ -335,8 +309,8 @@ def restrict(v: Val, f: IxMap) -> Val:
         match x:
             case int():
                 return -1 - f(-1 - x)
-            case tuple():
-                return tuple(map(go, x))
+            case Clo(model, env, body):
+                return Clo(model, models.env_of([go(v) for v in env]), body)
             case Term() | VU() | Model():
                 return x
         return type(x)(*[go(getattr(x, name)) for name in x.__match_args__])
@@ -354,7 +328,7 @@ def apply_val(fn: Val, arg: Val) -> Val:
             return clo(arg)
         case VNe(VPi(dom, cod), ne):
             return VNe(cod(arg), AppFrame(ne, arg, dom))
-    raise IllTypedError(f"cannot apply non-function value {_show(fn)}")
+    raise IllTypedError(f"cannot apply non-function value {show(fn)}")
 
 
 def _elim_bool(motive: Clo, vt: Val, vf: Val, scrut: Val) -> Val:
@@ -365,7 +339,7 @@ def _elim_bool(motive: Clo, vt: Val, vf: Val, scrut: Val) -> Val:
             return vf
         case VNe(_, ne):
             return VNe(motive(scrut), ElimFrame(ne, motive, vt, vf))
-    raise IllTypedError(f"boolean eliminator applied to {_show(scrut)}")
+    raise IllTypedError(f"boolean eliminator applied to {show(scrut)}")
 
 
 class NbeModel(Model):
@@ -393,14 +367,14 @@ class NbeModel(Model):
             return tm.inner
         if isinstance(tm, VNe) and isinstance(tm.vty, VLift):
             return VNe(tm.vty.ty, UnliftFrame(tm.ne))
-        raise IllTypedError(f"cannot unlift {_show(tm)}")
+        raise IllTypedError(f"cannot unlift {show(tm)}")
 
 
 NBE = NbeModel()
 
 
-def eval_term(env: tuple[Val, ...], t: Term) -> Val:
-    """The value of t in env, an environment ordered outermost first."""
+def eval_term(env: Iterable[Val], t: Term) -> Val:
+    """The value of t in env, an environment or a sequence of values ordered outermost first."""
     return models.eval_term(NBE, env, t)
 
 
@@ -436,7 +410,7 @@ def quote(vty: Val, v: Val, depth: int = 0) -> Nf:
                     return LiftTmNf(quote(inner, w, depth))
                 case VNe(_, ne):
                     return LiftTmNf(quote(inner, VNe(inner, UnliftFrame(ne)), depth))
-    raise IllTypedError(f"cannot quote {_show(v)} at type {_show(vty)}")
+    raise IllTypedError(f"cannot quote {show(v)} at type {show(vty)}")
 
 
 def quote_type(vty: Val, depth: int = 0) -> Nf:
@@ -451,7 +425,7 @@ def quote_type(vty: Val, depth: int = 0) -> Nf:
             return ElNf(quote_ne(ne, depth))
         case VLift(inner):
             return LiftNf(quote_type(inner, depth))
-    raise IllTypedError(f"cannot quote type value {_show(vty)}")
+    raise IllTypedError(f"cannot quote type value {show(vty)}")
 
 
 def quote_ne(ne: SemNe, depth: int) -> Ne:
@@ -467,24 +441,25 @@ def quote_ne(ne: SemNe, depth: int) -> Ne:
             return ElimBoolNe(motive_nf, tcase, fcase, scrut_ne)
         case UnliftFrame(t):
             return UnliftNe(quote_ne(t, depth))
-    raise IllTypedError(f"unknown neutral {_show(ne)}")
+    raise IllTypedError(f"unknown neutral {show(ne)}")
 
 
 # ---------------------------------------------------------------------------
 # Normalization
 
 
-def reflect_context(ctx: Context, env: tuple[Val, ...] = (), base: int | None = None) -> tuple[Val, ...]:
+def reflect_context(ctx: Context, env: Iterable[Val] = (), base: int | None = None) -> Iterable[Val]:
     """The environment of ctx, each entry evaluated in the values before it.
 
     Declared entry j of n is the neutral at level j-base, and base defaults
     to n (index n-1-j).  env, the environment of ctx's first len(env)
-    entries, is extended by the rest.
+    entries, is extended by the rest, one eval_term and one O(1) extension
+    per entry.  The result supports len, iteration and reversed.
     """
+    env = models.env_of(env)
     base, done = len(ctx) if base is None else base, len(env)
     for entry, value in zip_longest(ctx.entries[done:], ctx.values[done:]):
-        v = VNe(eval_term(env, entry), len(env) - base) if value is None else eval_term(env, value)
-        env = env + (v,)
+        env = env.extend(VNe(eval_term(env, entry), len(env) - base) if value is None else eval_term(env, value))
     return env
 
 

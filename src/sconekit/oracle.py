@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, TypeVar
 
 from . import nbe
+from .models import show
 from .syntax import (
     App,
     Bool,
@@ -45,7 +46,15 @@ T = TypeVar("T")
 
 
 class OracleError(Exception):
-    pass
+    """The oracle cannot answer.  OracleError(message, *terms) fills each {}
+    of message with a term's show only when the message is read: the
+    generator raises and catches thousands of these per call."""
+
+    def __str__(self) -> str:
+        if len(self.args) < 2:
+            return super().__str__()
+        message, *terms = self.args
+        return message.format(*map(show, terms))
 
 
 class FuelExhaustedError(OracleError):
@@ -188,14 +197,14 @@ def oracle_infer(ctx: Context, t: Term) -> Term:
             return _whnf_as(oracle_infer(ctx, x), Lift, "unlift of a term of non-Lift type").ty
         case Code(a):
             return U(oracle_level(ctx, a))
-    raise OracleError(f"cannot reconstruct a type for {t!r}")
+    raise OracleError("cannot reconstruct a type for {}", t)
 
 
 def _whnf_as(ty: Term, former: type, message: str) -> Term:
     """The weak head normal form of the type ty, which must be built by former."""
     ty = whnf(ty)
     if not isinstance(ty, former):
-        raise OracleError(f"{message} {ty}")
+        raise OracleError(message + " {}", ty)
     return ty
 
 
@@ -211,7 +220,7 @@ def oracle_level(ctx: Context, ty: Term) -> int:
             return _whnf_as(oracle_infer(ctx, c), U, "El of a non-code of type").level
         case Lift(a):
             return oracle_level(ctx, a) + 1
-    raise OracleError(f"{ty} is not a type")
+    raise OracleError("{} is not a type", ty)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +243,7 @@ def _eta(ctx: Context, ty: Term, t: Term) -> Term:
             return Code(_eta_type(ctx, t.ty))
         case Bool() | U(_) | El(_):
             return _eta_neutral(ctx, t)
-    raise OracleError(f"{ty} is not a type")
+    raise OracleError("{} is not a type", ty)
 
 
 def _eta_neutral(ctx: Context, t: Term) -> Term:
@@ -258,7 +267,7 @@ def _eta_neutral(ctx: Context, t: Term) -> Term:
         case UnliftTm(x):
             head = UnliftTm(_eta_neutral(ctx, x))
         case _:
-            raise OracleError(f"{t!r} is not neutral")
+            raise OracleError("{} is not neutral", t)
     ty = oracle_infer(ctx, t)  # a ScopeError for an unbound variable
     for a in reversed(args):
         pi = _whnf_as(ty, Pi, "application head has non-Pi type")
@@ -278,7 +287,7 @@ def _eta_type(ctx: Context, ty: Term) -> Term:
             return El(_eta_neutral(ctx, c))
         case Lift(a):
             return Lift(_eta_type(ctx, a))
-    raise OracleError(f"{ty} is not a type")
+    raise OracleError("{} is not a type", ty)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +441,7 @@ class _Gen:
                 return thunk()
             except (NoInhabitantError, OracleError):
                 continue
-        raise NoInhabitantError(f"no term of type {ty_w} found")
+        raise NoInhabitantError("no term of type {} found", ty_w)
 
     def _redex(self, ctx: Context, ty: Term, size: int, depth: int) -> Term:
         dom = self.rng.choice([Bool(), Pi(Bool(), Bool())])
@@ -500,7 +509,7 @@ class _Gen:
                 return nbe.LiftTmNf(self.nf(ctx, inner, depth - 1))
             case El(_):
                 return nbe.NeAtEl(self.ne(ctx, ty, depth))
-        raise NoInhabitantError(f"cannot generate a normal form at {ty}")
+        raise NoInhabitantError("cannot generate a normal form at {}", ty)
 
     def nf_type(self, ctx: Context, level: int, depth: int) -> nbe.Nf:
         options = ["bool", "bool"]
@@ -546,7 +555,7 @@ class _Gen:
                     continue
                 if result is not None:
                     return result
-        raise NoInhabitantError(f"no neutral of type {target} found")
+        raise NoInhabitantError("no neutral of type {} found", target)
 
     def _spine(
         self, ctx: Context, ne: nbe.Ne, ty: Term, target: Term, depth: int

@@ -13,6 +13,7 @@ the witness t* with every Var i re-pointed into the doubled context.
 from __future__ import annotations
 
 from . import typecheck
+from .models import show
 from .syntax import (
     App,
     Bool,
@@ -92,7 +93,7 @@ def _param_term(t: Term) -> Term:
             raise ParametricityError(
                 "type former in term position; translate it with param_family"
             )
-    raise ParametricityError(f"unknown term {t!r}")
+    raise ParametricityError(f"unknown term {show(t)}")
 
 
 def _param_family(ty: Term) -> Term:
@@ -113,7 +114,7 @@ def _param_family(ty: Term) -> Term:
                 3,
             )
             return Pi(dom_base, Pi(dom_pred, cod_pred))
-    raise ParametricityError(f"{ty} is not a type in the fragment")
+    raise ParametricityError(f"{show(ty)} is not a type in the fragment")
 
 
 @node

@@ -1,12 +1,18 @@
 """Bidirectional typechecking: head redexes are checked as lets, conversion by normal forms.
 
-Each public call carries one NbE environment for its context through the
-recursion, extended at each binder and definition it opens.
+Each public call carries a scope through the recursion: the caller's
+context at its root, and one linked node for each binder and definition
+it opens, at O(1) each.  The NbE environment of a scope, at levels, is
+built only when a type that mentions a variable is normalized, and then
+only for the nodes not yet reflected.
 """
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from . import nbe
+from .models import show
 from .syntax import (
     App,
     Bool,
@@ -53,43 +59,63 @@ class LevelError(TypeCheckError):
 
 
 class _Scope:
-    """A context, the scope it extends by one entry (None for the caller's
-    context), and the NbE environment of a prefix of the context.
+    """The caller's context ctx (the root, whose outer is None), or one
+    binder or definition the checker opened over the scope outer: its type
+    ty and its value, a term or None, both in outer's context.
 
-    Entry j sits at level j, so quote reads it back at depth len(ctx) as it
-    reads its own binders.  Only a type with a free variable makes the
-    environment catch up, outer scopes first; a closed type reads none.
+    The entry at depth j sits at level j, so quote reads it back at the
+    scope's depth as it reads its own binders.  Extending is O(1).  The
+    environment is built only when a type with a free variable is
+    normalized, and then only for the nodes not yet reflected; a closed
+    type reads none.
     """
 
-    __slots__ = ("ctx", "outer", "env")
+    __slots__ = ("ctx", "outer", "ty", "value", "depth", "env")
 
-    def __init__(self, ctx: Context, outer: _Scope | None = None) -> None:
-        self.ctx, self.outer, self.env = ctx, outer, ()
+    def __init__(self, ctx: Context | None, outer: _Scope | None = None, ty: Term | None = None, value: Term | None = None) -> None:
+        self.ctx, self.outer, self.ty, self.value, self.env = ctx, outer, ty, value, None
+        self.depth = len(ctx) if outer is None else outer.depth + 1
 
     def extend(self, ty: Term, value: Term | None = None) -> _Scope:
-        return _Scope(self.ctx.extend(ty) if value is None else self.ctx.define(ty, value), self)
+        return _Scope(None, self, ty, value)
 
-    def reflect(self) -> tuple:
-        """The whole context's environment; a loop, as k let-bound arguments chain k scopes."""
+    def lookup(self, ix: int) -> Term:
+        """Type of Var ix, weakened to be well-formed in this scope."""
+        if not 0 <= ix < self.depth:
+            raise ScopeError(f"variable {ix} out of range in context of length {self.depth}")
+        scope, i = self, ix
+        while i and scope.outer is not None:
+            scope, i = scope.outer, i - 1
+        ty = scope.ty if scope.outer is not None else scope.ctx.entries[scope.depth - 1 - i]
+        return shift(ty, ix + 1)
+
+    def reflect(self) -> Iterable[nbe.Val]:
+        """The whole scope's environment; a loop, as k let-bound arguments chain k scopes."""
         stale, scope = [], self
-        while scope is not None and len(scope.env) < len(scope.ctx):
+        while scope is not None and scope.env is None:
             stale.append(scope)
             scope = scope.outer
         env = () if scope is None else scope.env
         for scope in reversed(stale):
-            scope.env = env = nbe.reflect_context(scope.ctx, env, 0)
+            if scope.outer is None:
+                env = nbe.reflect_context(scope.ctx, env, 0)
+            elif scope.value is None:
+                env = env.extend(nbe.VNe(nbe.eval_term(env, scope.ty), scope.depth - 1))
+            else:
+                env = env.extend(nbe.eval_term(env, scope.value))
+            scope.env = env
         return env
 
     def norm(self, ty: Term) -> nbe.Nf:
-        env = self.env if len(self.env) == len(self.ctx) or is_closed(ty) else self.reflect()
-        return nbe.quote_type(nbe.eval_term(env, ty), len(self.ctx))
+        env = self.env if self.env is not None or is_closed(ty) else self.reflect()
+        return nbe.quote_type(nbe.eval_term(() if env is None else env, ty), self.depth)
 
 
 def _infer_as(scope: _Scope, t: Term, former: type, message: str) -> nbe.Nf:
     """The normal form of t's type, which former must build; else message, {} filled with that type."""
     if isinstance(nf := scope.norm(_infer(scope, t)), former):
         return nf
-    raise TypeMismatchError(message.format(nbe.embed(nf)))
+    raise TypeMismatchError(message.format(show(nbe.embed(nf))))
 
 
 def _wf_type(scope: _Scope, ty: Term) -> int:
@@ -111,7 +137,7 @@ def _wf_type(scope: _Scope, ty: Term) -> int:
             if i > DEFAULT_MAX_LEVEL:
                 raise LevelError(f"lifted type exceeds maximum level {DEFAULT_MAX_LEVEL}")
             return i
-    raise TypeMismatchError(f"{ty} is not a type")
+    raise TypeMismatchError(f"{show(ty)} is not a type")
 
 
 @depth_guarded
@@ -155,7 +181,7 @@ def _bind_head(scope: _Scope, t: Term) -> tuple[_Scope, Term, list[Term]] | None
 def _infer(scope: _Scope, t: Term) -> Term:
     match t:
         case Var(ix):
-            return scope.ctx.lookup(ix)
+            return scope.lookup(ix)
         case TrueTm() | FalseTm():
             return Bool()
         case App(fn, arg):
@@ -186,7 +212,7 @@ def _infer(scope: _Scope, t: Term) -> Term:
             raise NotInferableError("unannotated lambda in inference position")
         case Pi(_, _) | Bool() | U(_) | El(_) | Lift(_):
             raise NotInferableError("type former used in term inference position")
-    raise TypeCheckError(f"unknown term {t!r}")
+    raise TypeCheckError(f"unknown term {show(t)}")
 
 
 @depth_guarded
@@ -227,7 +253,7 @@ def _check(scope: _Scope, t: Term, expected: nbe.Nf) -> None:
                 return
     actual = scope.norm(_infer(scope, t))
     if actual != expected:
-        raise TypeMismatchError(f"expected type {nbe.embed(expected)}, got {nbe.embed(actual)}")
+        raise TypeMismatchError(f"expected type {show(nbe.embed(expected))}, got {show(nbe.embed(actual))}")
 
 
 @depth_guarded
@@ -247,7 +273,7 @@ def conv(ctx: Context, ty: Term, a: Term, b: Term) -> bool:
     expected = scope.norm(ty)
     _check(scope, a, expected)
     _check(scope, b, expected)
-    env, depth = scope.reflect(), len(ctx)
+    env, depth = scope.reflect(), scope.depth
     vty = nbe.eval_term(env, ty)
     return nbe.quote(vty, nbe.eval_term(env, a), depth) == nbe.quote(vty, nbe.eval_term(env, b), depth)
 

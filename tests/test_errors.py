@@ -8,7 +8,8 @@ import generated
 import sconekit
 from sconekit import DepthError, IllTypedError, oracle
 from sconekit.canonicity import CanonicityError, _fresh, canon, glued_eval, glued_eval_type
-from sconekit.nbe import LamNf, NeAtBool, VarNe, embed, norm, norm_type
+from sconekit.models import STANDARD, ModelError, eval_term
+from sconekit.nbe import BoolNf, LamNf, NeAtBool, PiNf, VarNe, embed, norm, norm_type
 from sconekit.parametricity import ParametricityError, param_family, param_term, shadow, translate
 from sconekit.surface import parse_file_contents, pretty, resolve_term, resolve_type
 from sconekit.syntax import (
@@ -100,6 +101,37 @@ def test_error_message_is_bounded():
     with pytest.raises(IllTypedError, match="cannot quote VBool") as info:
         norm(Context((Bool(),)), t, Bool())  # term and type swapped
     assert len(str(info.value)) <= 400
+
+
+def _type_level_twin(k):
+    """El c_k, c_0 = code Bool, c_k = (fun c => code (El c -> El c)) c_(k-1): a normal type of 2^k leaves."""
+    c = Code(Bool())
+    for _ in range(k):
+        c = App(Lam(Code(Pi(El(Var(0)), El(Var(1))))), c)
+    return El(c)
+
+
+def _shared_tree(former, leaf, k=12):
+    """former(x, x) nested k times around leaf: k nodes shared, 2^k leaves when printed."""
+    for _ in range(k):
+        leaf = former(leaf, leaf)
+    return leaf
+
+
+@pytest.mark.parametrize(
+    ("error", "call"),
+    [
+        (TypeCheckError, lambda: check(Context(), TrueTm(), _type_level_twin(14))),
+        (ModelError, lambda: eval_term(STANDARD, (), _shared_tree(PiNf, BoolNf()))),
+        (oracle.OracleError, lambda: oracle.oracle_norm_type(Context(), Lam(_shared_tree(App, TrueTm())))),
+    ],
+    ids=["typecheck expected type", "models not interpretable", "oracle not a type"],
+)
+def test_messages_that_print_a_term_are_bounded(error, call):
+    """A term or normal form whose repr runs to 90-330 thousand characters is cut in the message."""
+    with pytest.raises(error) as info:
+        call()
+    assert len(str(info.value)) <= 700
 
 
 def test_error_message_shows_no_memory_address():

@@ -1,11 +1,13 @@
 """Every library and test module uses each name it imports; every library module
 imports from each module once, imports no private name of another and reads
-nothing from the process environment."""
+nothing from the process environment; only models knows the environment's cells."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from sconekit.models import Env
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sconekit"
 # __init__.py imports names only to re-export them
@@ -121,3 +123,31 @@ def test_gate_sees_an_environment_read():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_module_reads_the_environment(path):
     assert environment_reads(ast.parse(path.read_text())) == [], path.name
+
+
+def env_cell_uses(tree: ast.Module) -> list[str]:
+    """Where tree names models.Env, the environment cell class, or reads one of its fields."""
+    fields = set(Env.__slots__)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == Env.__name__:
+            found.append(node.id)
+        elif isinstance(node, ast.alias) and node.name == Env.__name__:
+            found.append(f"import {node.name}")
+        elif isinstance(node, ast.Attribute) and (node.attr == Env.__name__ or node.attr in fields):
+            found.append(f".{node.attr}")
+    return sorted(found)
+
+
+def test_gate_sees_an_environment_cell():
+    tree = ast.parse(
+        "from .models import Env\nfrom . import models\n"
+        "env = models.Env(v, e)\nx = env.tail.head if env.length else Env\nn = len(env)\n"
+    )
+    assert env_cell_uses(tree) == [".Env", ".head", ".length", ".tail", "Env", "import Env"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "models.py"], ids=lambda path: path.name)
+def test_only_models_knows_the_environment_cells(path):
+    """Other modules build environments with models.env_of and Env's methods, and read them by len and iteration."""
+    assert env_cell_uses(ast.parse(path.read_text())) == [], path.name
