@@ -1,5 +1,9 @@
 """Command-line front door: check, norm, canon, param, conv.
 
+Each subcommand is one row of COMMANDS. `main` reads, parses and resolves
+its files and then `--type`, checks each file's term against its
+`term : type` ascription, runs the row and prints the result as text or JSON.
+
 Exit codes: 0 success, 1 domain error (type error, unsupported
 fragment, canonicity failure), 2 usage or parse error.
 """
@@ -15,12 +19,14 @@ from . import canonicity, nbe, parametricity, typecheck
 from .surface import SurfaceError, parse, parse_file_contents, pretty, resolve_term, resolve_type
 from .syntax import Context, DepthError, Term
 
+Loaded = tuple[Term, Optional[Term]]  # a file's term and its ascription, if it has one
+
 
 class UsageError(Exception):
     pass
 
 
-def _load(path: str) -> tuple[Term, Optional[Term]]:
+def _load(path: str) -> Loaded:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -33,104 +39,51 @@ def _load(path: str) -> tuple[Term, Optional[Term]]:
     return resolve_term(term_s), ann
 
 
-def _parse_type(text: str) -> Term:
-    return resolve_type(parse(text))
+def _type_of(term: Term, ann: Optional[Term]) -> Term:
+    """The ascription, already checked, or else the inferred type."""
+    return ann if ann is not None else typecheck.infer(Context(), term)
 
 
-def _emit(args: argparse.Namespace, payload: dict) -> None:
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
+def _check(files: list[Loaded], ty: None) -> dict:
+    return {"result": f"ok : {pretty(_type_of(*files[0]))}"}
+
+
+def _norm(files: list[Loaded], ty: Optional[Term]) -> dict:
+    [(term, ann)] = files
+    if ty is not None:
+        typecheck.check(Context(), term, ty)
     else:
-        print(payload["result"])
+        ty = _type_of(term, ann)
+    text = pretty(nbe.embed(nbe.norm(Context(), ty, term)))
+    return {"result": text, "normal_form": text}
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    term, ann = _load(args.file)
-    ctx = Context()
-    if ann is not None:
-        typecheck.check(ctx, term, ann)
-        ty = ann
-    else:
-        ty = typecheck.infer(ctx, term)
-    payload = {
-        "command": "check",
-        "input": args.file,
-        "result": f"ok : {pretty(ty)}",
-    }
-    _emit(args, payload)
-    return 0
+def _canon(files: list[Loaded], ty: None) -> dict:
+    return {"result": canonicity.canon(files[0][0]).value}
 
 
-def _require_type(term: Term, ann: Optional[Term], flag_ty: Optional[str]) -> Term:
-    if flag_ty is not None:
-        return _parse_type(flag_ty)
-    if ann is not None:
-        return ann
-    return typecheck.infer(Context(), term)
-
-
-def _cmd_norm(args: argparse.Namespace) -> int:
-    term, ann = _load(args.file)
-    ctx = Context()
-    ty = _require_type(term, ann, args.type)
-    typecheck.check(ctx, term, ty)
-    nf = nbe.norm(ctx, ty, term)
-    text = pretty(nbe.embed(nf))
-    payload = {
-        "command": "norm",
-        "input": args.file,
-        "result": text,
-        "normal_form": text,
-    }
-    _emit(args, payload)
-    return 0
-
-
-def _cmd_canon(args: argparse.Namespace) -> int:
-    term, ann = _load(args.file)
-    if ann is not None:
-        typecheck.check(Context(), term, ann)
-    witness = canonicity.canon(term)
-    payload = {
-        "command": "canon",
-        "input": args.file,
-        "result": witness.value,
-    }
-    _emit(args, payload)
-    return 0
-
-
-def _cmd_param(args: argparse.Namespace) -> int:
-    term, ann = _load(args.file)
-    if ann is None:
-        ann = typecheck.infer(Context(), term)
-    result = parametricity.translate(term, ann)
+def _param(files: list[Loaded], ty: None) -> dict:
+    result = parametricity.translate(files[0][0], _type_of(*files[0]))
     wty = pretty(nbe.embed(nbe.norm_type(Context(), result.witness_type)))
-    payload = {
-        "command": "param",
-        "input": args.file,
-        "result": wty,
-        "witness_type": wty,
-        "witness": pretty(result.witness),
-    }
-    _emit(args, payload)
-    return 0
+    return {"result": wty, "witness_type": wty, "witness": pretty(result.witness)}
 
 
-def _cmd_conv(args: argparse.Namespace) -> int:
-    a, ann_a = _load(args.file1)
-    b, ann_b = _load(args.file2)
-    ty = _parse_type(args.type) if args.type is not None else (ann_a or ann_b)
-    if ty is None:
+def _conv(files: list[Loaded], ty: Optional[Term]) -> dict:
+    [(a, ann_a), (b, ann_b)] = files
+    if (ty := ty or ann_a or ann_b) is None:
         raise UsageError("conv needs --type or an ascription in one of the files")
-    equal = typecheck.conv(Context(), ty, a, b)
-    payload = {
-        "command": "conv",
-        "input": f"{args.file1} {args.file2}",
-        "result": "equal" if equal else "not equal",
-    }
-    _emit(args, payload)
-    return 0
+    return {"result": "equal" if typecheck.conv(Context(), ty, a, b) else "not equal"}
+
+
+# One row per subcommand: name, help, file arguments, help of --type (None: no
+# --type), and a function from the loaded files and the --type to its fields.
+COMMANDS = (
+    ("check", "typecheck a file", ("file",), None, _check),
+    ("norm", "print the normal form", ("file",), "type to normalize at (surface syntax)", _norm),
+    ("canon", "decide which boolean a closed Bool term equals", ("file",), None, _canon),
+    ("param", "print the parametricity witness type", ("file",), None, _param),
+    ("conv", "decide convertibility of two files at a type", ("file1", "file2"), "shared type (surface syntax)", _conv),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -140,40 +93,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="emit a machine-readable object")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="typecheck a file")
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_check)
-
-    p = sub.add_parser("norm", help="print the normal form")
-    p.add_argument("file")
-    p.add_argument("--type", help="type to normalize at (surface syntax)")
-    p.set_defaults(fn=_cmd_norm)
-
-    p = sub.add_parser("canon", help="decide which boolean a closed Bool term equals")
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_canon)
-
-    p = sub.add_parser("param", help="print the parametricity witness type")
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_param)
-
-    p = sub.add_parser("conv", help="decide convertibility of two files at a type")
-    p.add_argument("file1")
-    p.add_argument("file2")
-    p.add_argument("--type", help="shared type (surface syntax)")
-    p.set_defaults(fn=_cmd_conv)
+    for name, help_text, files, type_help, run in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for file in files:
+            p.add_argument(file)
+        if type_help is not None:
+            p.add_argument("--type", help=type_help)
+        p.set_defaults(files=files, run=run, type=None)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code else 0
+    paths = [getattr(args, name) for name in args.files]
     try:
-        return args.fn(args)
+        files = [_load(path) for path in paths]
+        ty = resolve_type(parse(args.type)) if args.type is not None else None
+        for term, ann in files:
+            if ann is not None:
+                typecheck.check(Context(), term, ann)
+        fields = args.run(files, ty)
     except (SurfaceError, UsageError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -188,6 +130,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except RecursionError:  # a DepthError, or one from a layer without a depth guard
         print(f"error: {DepthError()}", file=sys.stderr)
         return 1
+    fields.update(command=args.command, input=" ".join(paths))
+    print(json.dumps(fields, sort_keys=True) if args.json else fields["result"])
+    return 0
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from .models import show
 from .syntax import (
     App,
     Bool,
@@ -194,6 +195,9 @@ class SUnlift(SurfaceTerm):
 # instead of exhausting the stack here or in a later pass.
 MAX_NESTING = 200
 
+# The surface node each prefix keyword builds.
+_PREFIX = {"El": SEl, "code": SCode, "Lift": SLift, "lift": SLiftTm, "unlift": SUnlift}
+
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
@@ -225,6 +229,12 @@ class _Parser:
     def at(self, text: str) -> bool:
         tok = self.peek()
         return tok.text == text and tok.kind in ("symbol", "keyword")
+
+    def end(self) -> None:
+        """Reject any input left after the term."""
+        tok = self.peek()
+        if tok.kind != "eof":
+            raise SurfaceError(f"trailing input starting at {tok.text!r}", tok.line, tok.col)
 
     def _enter(self, tok: Token) -> None:
         """Open one more level of nesting; the caller closes it on return."""
@@ -285,13 +295,12 @@ class _Parser:
     # app := prefix | atom+
     def app(self) -> SurfaceTerm:
         tok = self.peek()
-        prefixes = {"El": SEl, "code": SCode, "Lift": SLift, "lift": SLiftTm, "unlift": SUnlift}
-        if tok.kind == "keyword" and tok.text in prefixes:
+        if tok.kind == "keyword" and tok.text in _PREFIX:
             self.next()
             self._enter(tok)
             inner = self.app()
             self.depth -= 1
-            return prefixes[tok.text](tok.line, tok.col, inner)
+            return _PREFIX[tok.text](tok.line, tok.col, inner)
         t, depth = self.atom(), self.depth
         while self._starts_atom():
             self._enter(self.peek())
@@ -334,9 +343,7 @@ class _Parser:
 def parse(text: str) -> SurfaceTerm:
     p = _Parser(tokenize(text))
     t = p.term()
-    tok = p.peek()
-    if tok.kind != "eof":
-        raise SurfaceError(f"trailing input starting at {tok.text!r}", tok.line, tok.col)
+    p.end()
     return t
 
 
@@ -348,9 +355,7 @@ def parse_file_contents(text: str) -> tuple[SurfaceTerm, Optional[SurfaceTerm]]:
     if p.at(":"):
         p.next()
         ann = p.term()
-    tok = p.peek()
-    if tok.kind != "eof":
-        raise SurfaceError(f"trailing input starting at {tok.text!r}", tok.line, tok.col)
+    p.end()
     return t, ann
 
 
@@ -423,6 +428,12 @@ _PREC_ARROW = 1
 _PREC_LOW = 0
 
 
+# The keyword that prints each prefix form.  Prefix forms parse only where a
+# whole application may appear, so they take parentheses in function and
+# argument position.
+_PREFIX_KEYWORD = {El: "El", Code: "code", Lift: "Lift", LiftTm: "lift", UnliftTm: "unlift"}
+
+
 def _name(depth: int) -> str:
     return f"x{depth}"
 
@@ -463,19 +474,9 @@ def _pp(t: Term, depth: int, prec: int, used: dict[int, bool]) -> str:
                 f"{_pp(t2, depth, _PREC_LOW, used)}"
             )
             return _paren(s, prec > _PREC_LOW)
-        # prefix forms parse only where a whole application may appear, so
-        # they take parentheses in function/argument position
-        case El(c):
-            return _paren(f"El {_pp(c, depth, _PREC_APP, used)}", prec >= _PREC_APP)
-        case Code(a):
-            return _paren(f"code {_pp(a, depth, _PREC_APP, used)}", prec >= _PREC_APP)
-        case Lift(a):
-            return _paren(f"Lift {_pp(a, depth, _PREC_APP, used)}", prec >= _PREC_APP)
-        case LiftTm(x):
-            return _paren(f"lift {_pp(x, depth, _PREC_APP, used)}", prec >= _PREC_APP)
-        case UnliftTm(x):
-            return _paren(f"unlift {_pp(x, depth, _PREC_APP, used)}", prec >= _PREC_APP)
-    raise TypeError(f"unknown term {t!r}")
+        case El(x) | Code(x) | Lift(x) | LiftTm(x) | UnliftTm(x):
+            return _paren(f"{_PREFIX_KEYWORD[t.__class__]} {_pp(x, depth, _PREC_APP, used)}", prec >= _PREC_APP)
+    raise TypeError(f"unknown term {show(t)}")
 
 
 def _paren(s: str, needed: bool) -> str:

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, JSON output."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -189,6 +190,68 @@ def test_deep_normal_form_is_a_domain_error(files, capsys, command):
     assert main([command, path] + ([path] if command == "conv" else [])) == 1
     err = capsys.readouterr().err
     assert err == "error: term nested too deeply for the recursion limit\n"
+
+
+@pytest.mark.parametrize("command", ["check", "norm", "canon", "param", "conv"])
+def test_wrong_ascription_exits_1(files, capsys, command):
+    """Every file's ascription is checked, whatever the subcommand and --type say."""
+    good, wrong = files("good.tt", "true : Bool"), files("wrong.tt", "true : Bool -> Bool")
+    argv = {"norm": ["norm", wrong, "--type", "Bool"], "conv": ["conv", good, wrong]}.get(command, [command, wrong])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    # every input is parsed before any is checked, so a parse error wins
+    assert main(["conv", wrong, good, "--type", "("]) == 2
+
+
+def test_conv_without_a_type_is_a_usage_error(files, capsys):
+    assert main(["conv", files("a.tt", "true"), files("b.tt", "true")]) == 2
+    assert capsys.readouterr().err == "error: conv needs --type or an ascription in one of the files\n"
+
+
+@pytest.mark.parametrize("argv", [["check"], ["norm"], ["canon"], ["param"], ["conv"], ["conv", "a.tt"]], ids=" ".join)
+def test_missing_file_argument_is_a_usage_error(capsys, argv):
+    assert main(argv) == 2
+    assert "the following arguments are required" in capsys.readouterr().err
+
+
+def _bench_cli_cases():
+    """bench/cli_cases.py: the input files and calls of the benchmark's cli workload."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "cli_cases.py"
+    spec = importlib.util.spec_from_file_location("bench_cli_cases", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH = _bench_cli_cases()
+CHURCH_ID_TYPE = "(x0 : U0) -> (El x0) -> El x0"
+CHURCH_ID_WITNESS_TYPE = "(x0 : U0) -> (x1 : (El x0) -> U0) -> (x2 : El x0) -> (El x1 x2) -> El x1 x2"
+# the JSON objects of the subcommands that the benchmark checks only as text
+JSON_CASES = (
+    (
+        ("--json", "check", "church_id.tt"),
+        f'{{"command": "check", "input": "church_id.tt", "result": "ok : {CHURCH_ID_TYPE}"}}\n',
+    ),
+    (
+        ("--json", "param", "church_id.tt"),
+        f'{{"command": "param", "input": "church_id.tt", "result": "{CHURCH_ID_WITNESS_TYPE}", '
+        f'"witness": "fun x0 => fun x1 => fun x2 => fun x3 => x3", "witness_type": "{CHURCH_ID_WITNESS_TYPE}"}}\n',
+    ),
+    # without --type, conv takes the ascription of b.tt
+    (("--json", "conv", "a.tt", "b.tt"), '{"command": "conv", "input": "a.tt b.tt", "result": "equal"}\n'),
+)
+
+
+@pytest.mark.parametrize("case", BENCH.CASES + JSON_CASES, ids=lambda case: " ".join(case[0]))
+def test_bench_cli_case_prints_exactly(tmp_path, monkeypatch, capsys, case):
+    """Each call of the cli workload, in process, prints what the benchmark's correctness check expects."""
+    argv, expected = case
+    for name, text in {**BENCH.FILES, "a.tt": "true\n", "b.tt": "true : Bool\n"}.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(list(argv)) == 0
+    assert capsys.readouterr().out == expected
 
 
 # Counts compile events, one per module compiled from source and one per

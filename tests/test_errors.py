@@ -124,8 +124,9 @@ def _shared_tree(former, leaf, k=12):
         (TypeCheckError, lambda: check(Context(), TrueTm(), _type_level_twin(14))),
         (ModelError, lambda: eval_term(STANDARD, (), _shared_tree(PiNf, BoolNf()))),
         (oracle.OracleError, lambda: oracle.oracle_norm_type(Context(), Lam(_shared_tree(App, TrueTm())))),
+        (TypeError, lambda: pretty(_shared_tree(PiNf, BoolNf()))),
     ],
-    ids=["typecheck expected type", "models not interpretable", "oracle not a type"],
+    ids=["typecheck expected type", "models not interpretable", "oracle not a type", "surface not a term"],
 )
 def test_messages_that_print_a_term_are_bounded(error, call):
     """A term or normal form whose repr runs to 90-330 thousand characters is cut in the message."""
