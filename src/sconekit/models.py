@@ -16,7 +16,6 @@ nbe.NBE.
 from __future__ import annotations
 
 import itertools
-import operator
 from abc import ABC, abstractmethod
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -49,18 +48,21 @@ class ModelError(Exception):
 SHOWN = 300  # the most characters of a term or value that an error message shows
 
 
-def show(x: object) -> str:
+def show(x: object, view: Callable[[Any], Any] | None = None) -> str:
     """repr(x), cut after SHOWN characters and ended with '…'.
 
     Nodes are read in __match_args__ order, tuples and environments item by
     item, and only atoms go through repr; so a shared value costs only the
-    text shown.
+    text shown.  view, if given, maps each value before it is read, so a
+    caller can show x as another value built one node at a time.
     """
     out, size, todo = [], 0, [(x,)]  # text to write, or a value boxed in a 1-tuple
     while todo and size <= SHOWN:
         item = todo.pop()
         if isinstance(item, tuple):
             (x,) = item
+            if view is not None:
+                x = view(x)
             if isinstance(x, tuple):
                 item, end, fields = "(", ",)" if len(x) == 1 else ")", [("", v) for v in x]
             elif isinstance(x, Env):
@@ -129,25 +131,25 @@ class Env:
     """An environment: a persistent chain of cells, each holding one value
     (head) and the environment outside it (tail); Var 0 is the head.
 
-    Extending one is O(1) and shares the cells it extends; Var ix walks ix
-    cells.  len, iteration (outermost first, as in the tuple form) and
-    reversed work as on a tuple.
+    Extending one is O(1) and shares the cells it extends; Var ix and len
+    walk the cells.  len, iteration (outermost first, as in the tuple form)
+    and reversed work as on a tuple.
     """
 
-    __slots__ = ("head", "tail", "length")
+    __slots__ = ("head", "tail")
 
     def __init__(self, head: Any, tail: Env) -> None:
-        self.head, self.tail, self.length = head, tail, tail.length + 1
+        self.head, self.tail = head, tail
 
     def extend(self, value: Any) -> Env:
         return Env(value, self)
 
     def __len__(self) -> int:
-        return self.length
+        return sum(1 for _ in reversed(self))
 
     def __reversed__(self) -> Iterator[Any]:
         env = self
-        while env.length:
+        while env is not _EMPTY:
             yield env.head
             env = env.tail
 
@@ -157,17 +159,19 @@ class Env:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not Env:
             return NotImplemented
-        return self.length == other.length and all(map(operator.eq, reversed(self), reversed(other)))
+        return tuple(reversed(self)) == tuple(reversed(other))
 
     def __hash__(self) -> int:
         return hash(tuple(reversed(self)))
+
+    def __reduce__(self) -> tuple:
+        return env_of, (tuple(self),)
 
     def __repr__(self) -> str:
         return f"Env({', '.join(map(repr, self))})"
 
 
 _EMPTY = object.__new__(Env)
-_EMPTY.length = 0
 
 
 def env_of(values: Iterable[Any]) -> Env:
@@ -209,12 +213,12 @@ def eval_term(model: Model, env: Iterable[Any], t: Term) -> Any:
     if cls is Lam:
         return model.lam(Clo(model, env, t.body))
     if cls is Var:
-        ix = t.ix
-        if not 0 <= ix < env.length:
-            raise ScopeError(f"variable {ix} out of range in environment of length {env.length}")
-        while ix:
-            env, ix = env.tail, ix - 1
-        return env.head
+        ix, cell = t.ix, env
+        while ix > 0 and cell is not _EMPTY:
+            cell, ix = cell.tail, ix - 1
+        if ix or cell is _EMPTY:
+            raise ScopeError(f"variable {t.ix} out of range in environment of length {len(env)}")
+        return cell.head
     if cls is App:
         return model.app(eval_term(model, env, t.fn), eval_term(model, env, t.arg))
     if cls is U:

@@ -199,6 +199,19 @@ def _embed(x: Nf | Ne) -> Term:
     return former(*args)
 
 
+def show_nf(nf: Nf) -> str:
+    """show(embed(nf)), embedding only the nodes that show reaches."""
+    return show(nf, _embed_node)
+
+
+def _embed_node(x: object) -> object:
+    """The root of x's embedding over x's own children, or x if it is no normal form."""
+    if isinstance(x, (NeAtBool, NeAtEl, NeAtU)):
+        x = x.ne
+    former = _FORMER.get(x.__class__)
+    return x if former is None else former(*[getattr(x, name) for name in x.__match_args__])
+
+
 rename_ne = rename_nf = rename_with
 
 
@@ -323,11 +336,11 @@ def restrict(v: Val, f: IxMap) -> Val:
 
 
 def apply_val(fn: Val, arg: Val) -> Val:
-    match fn:
-        case VLam(clo):
-            return clo(arg)
-        case VNe(VPi(dom, cod), ne):
-            return VNe(cod(arg), AppFrame(ne, arg, dom))
+    cls = fn.__class__
+    if cls is VLam:
+        return fn.clo(arg)
+    if cls is VNe and (vty := fn.vty).__class__ is VPi:
+        return VNe(vty.cod(arg), AppFrame(fn.ne, arg, vty.dom))
     raise IllTypedError(f"cannot apply non-function value {show(fn)}")
 
 
@@ -342,15 +355,18 @@ def _elim_bool(motive: Clo, vt: Val, vf: Val, scrut: Val) -> Val:
     raise IllTypedError(f"boolean eliminator applied to {show(scrut)}")
 
 
+_BOOL, _TRUE, _FALSE = VBool(), VTrue(), VFalse()
+
+
 class NbeModel(Model):
     """The semantic domain as a model: a stuck eliminator becomes a neutral."""
 
     pi = staticmethod(VPi)
     lam = staticmethod(VLam)
     app = staticmethod(apply_val)
-    bool_ = staticmethod(VBool)
-    true = staticmethod(VTrue)
-    false = staticmethod(VFalse)
+    bool_ = staticmethod(lambda: _BOOL)  # each a value shared by every call
+    true = staticmethod(lambda: _TRUE)
+    false = staticmethod(lambda: _FALSE)
     elim_bool = staticmethod(_elim_bool)
     u = staticmethod(VU)
     lift = staticmethod(VLift)
@@ -383,48 +399,58 @@ def eval_term(env: Iterable[Val], t: Term) -> Val:
 
 
 def quote(vty: Val, v: Val, depth: int = 0) -> Nf:
-    """Reify a value as a typed eta-long normal form under depth binders."""
-    match vty:
-        case VPi(dom, cod):
-            fresh = VNe(dom, depth)
-            return LamNf(quote(cod(fresh), apply_val(v, fresh), depth + 1))
-        case VBool():
-            match v:
-                case VTrue():
-                    return TrueNf()
-                case VFalse():
-                    return FalseNf()
-                case VNe(_, ne):
-                    return NeAtBool(quote_ne(ne, depth))
-        case VU(_):
-            match v:
-                case VCode(ty):
-                    return CodeNf(quote_type(ty, depth))
-                case VNe(_, ne):
-                    return NeAtU(quote_ne(ne, depth))
-        case VEl(_) if isinstance(v, VNe):
+    """Reify a value as a typed eta-long normal form under depth binders.
+
+    A chain of Π-types is read in one loop, a fresh level per binder, and
+    its base type once through quote; then one LamNf wraps it per binder.
+    """
+    cls, top = vty.__class__, depth
+    while cls is VPi:
+        fresh = VNe(vty.dom, depth)
+        vty = vty.cod(fresh)
+        v = v.clo(fresh) if v.__class__ is VLam else apply_val(v, fresh)
+        cls, depth = vty.__class__, depth + 1
+    if depth > top:
+        nf = quote(vty, v, depth)
+        for _ in range(depth - top):
+            nf = LamNf(nf)
+        return nf
+    vcls = v.__class__
+    if cls is VBool:
+        if vcls is VTrue:
+            return TrueNf()
+        if vcls is VFalse:
+            return FalseNf()
+        if vcls is VNe:
+            return NeAtBool(quote_ne(v.ne, depth))
+    elif cls is VU:
+        if vcls is VCode:
+            return CodeNf(quote_type(v.ty, depth))
+        if vcls is VNe:
+            return NeAtU(quote_ne(v.ne, depth))
+    elif cls is VEl:
+        if vcls is VNe:
             return NeAtEl(quote_ne(v.ne, depth))
-        case VLift(inner):
-            match v:
-                case VLiftVal(w):
-                    return LiftTmNf(quote(inner, w, depth))
-                case VNe(_, ne):
-                    return LiftTmNf(quote(inner, VNe(inner, UnliftFrame(ne)), depth))
+    elif cls is VLift:
+        if vcls is VLiftVal:
+            return LiftTmNf(quote(vty.ty, v.inner, depth))
+        if vcls is VNe:
+            return LiftTmNf(quote(vty.ty, VNe(vty.ty, UnliftFrame(v.ne)), depth))
     raise IllTypedError(f"cannot quote {show(v)} at type {show(vty)}")
 
 
 def quote_type(vty: Val, depth: int = 0) -> Nf:
-    match vty:
-        case VPi(dom, cod):
-            return PiNf(quote_type(dom, depth), quote_type(cod(VNe(dom, depth)), depth + 1))
-        case VBool():
-            return BoolNf()
-        case VU(level):
-            return UNf(level)
-        case VEl(VNe(_, ne)):
-            return ElNf(quote_ne(ne, depth))
-        case VLift(inner):
-            return LiftNf(quote_type(inner, depth))
+    cls = vty.__class__
+    if cls is VPi:
+        return PiNf(quote_type(vty.dom, depth), quote_type(vty.cod(VNe(vty.dom, depth)), depth + 1))
+    if cls is VBool:
+        return BoolNf()
+    if cls is VU:
+        return UNf(vty.level)
+    if cls is VEl and vty.code.__class__ is VNe:
+        return ElNf(quote_ne(vty.code.ne, depth))
+    if cls is VLift:
+        return LiftNf(quote_type(vty.ty, depth))
     raise IllTypedError(f"cannot quote type value {show(vty)}")
 
 
@@ -457,9 +483,11 @@ def reflect_context(ctx: Context, env: Iterable[Val] = (), base: int | None = No
     per entry.  The result supports len, iteration and reversed.
     """
     env = models.env_of(env)
-    base, done = len(ctx) if base is None else base, len(env)
+    done = len(env)
+    level = done - (len(ctx) if base is None else base)
     for entry, value in zip_longest(ctx.entries[done:], ctx.values[done:]):
-        env = env.extend(VNe(eval_term(env, entry), len(env) - base) if value is None else eval_term(env, value))
+        env = env.extend(VNe(eval_term(env, entry), level) if value is None else eval_term(env, value))
+        level += 1
     return env
 
 

@@ -115,7 +115,7 @@ def _infer_as(scope: _Scope, t: Term, former: type, message: str) -> nbe.Nf:
     """The normal form of t's type, which former must build; else message, {} filled with that type."""
     if isinstance(nf := scope.norm(_infer(scope, t)), former):
         return nf
-    raise TypeMismatchError(message.format(show(nbe.embed(nf))))
+    raise TypeMismatchError(message.format(nbe.show_nf(nf)))
 
 
 def _wf_type(scope: _Scope, ty: Term) -> int:
@@ -179,11 +179,12 @@ def _bind_head(scope: _Scope, t: Term) -> tuple[_Scope, Term, list[Term]] | None
 
 
 def _infer(scope: _Scope, t: Term) -> Term:
+    cls = t.__class__
+    if cls is Var:
+        return scope.lookup(t.ix)
+    if cls is TrueTm or cls is FalseTm:
+        return Bool()
     match t:
-        case Var(ix):
-            return scope.lookup(ix)
-        case TrueTm() | FalseTm():
-            return Bool()
         case App(fn, arg):
             if (bound := _bind_head(scope, t)) is not None:
                 inner, body, args = bound
@@ -239,21 +240,17 @@ def _check(scope: _Scope, t: Term, expected: nbe.Nf) -> None:
     The domain, codomain and lifted type of a normal type are normal, so
     nothing is normalized again on the way down.
     """
-    match (t, expected):
-        case (Lam(body), nbe.PiNf(dom, cod)):
-            _check(scope.extend(nbe.embed(dom)), body, cod)
-            return
-        case (LiftTm(tm), nbe.LiftNf(inner)):
-            _check(scope, tm, inner)
-            return
-        case (App(_, _), _):
-            if (bound := _bind_head(scope, t)) is not None:
-                inner, body, args = bound
-                _check(inner, body, shift(expected, len(args)))
-                return
+    cls = t.__class__
+    if cls is Lam and expected.__class__ is nbe.PiNf:
+        return _check(scope.extend(nbe.embed(expected.dom)), t.body, expected.cod)
+    if cls is LiftTm and expected.__class__ is nbe.LiftNf:
+        return _check(scope, t.tm, expected.ty)
+    if cls is App and (bound := _bind_head(scope, t)) is not None:
+        inner, body, args = bound
+        return _check(inner, body, shift(expected, len(args)))
     actual = scope.norm(_infer(scope, t))
     if actual != expected:
-        raise TypeMismatchError(f"expected type {show(nbe.embed(expected))}, got {show(nbe.embed(actual))}")
+        raise TypeMismatchError(f"expected type {nbe.show_nf(expected)}, got {nbe.show_nf(actual)}")
 
 
 @depth_guarded

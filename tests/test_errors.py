@@ -8,8 +8,8 @@ import generated
 import sconekit
 from sconekit import DepthError, IllTypedError, oracle
 from sconekit.canonicity import CanonicityError, _fresh, canon, glued_eval, glued_eval_type
-from sconekit.models import STANDARD, ModelError, eval_term
-from sconekit.nbe import BoolNf, LamNf, NeAtBool, PiNf, VarNe, embed, norm, norm_type
+from sconekit.models import SHOWN, STANDARD, ModelError, eval_term, show
+from sconekit.nbe import BoolNf, LamNf, NeAtBool, PiNf, VarNe, embed, norm, norm_type, show_nf
 from sconekit.parametricity import ParametricityError, param_family, param_term, shadow, translate
 from sconekit.surface import parse_file_contents, pretty, resolve_term, resolve_type
 from sconekit.syntax import (
@@ -135,6 +135,21 @@ def test_messages_that_print_a_term_are_bounded(error, call):
     assert len(str(info.value)) <= 700
 
 
+def test_shown_normal_form_embeds_only_what_it_prints():
+    """A normal form of 2^40 leaves shows at once: show_nf embeds only the nodes within SHOWN characters."""
+    text = show_nf(_shared_tree(PiNf, BoolNf(), 40))
+    assert text.startswith("Pi(dom=Pi(dom=") and text.endswith("…") and len(text) == SHOWN + 1
+
+
+@pytest.mark.parametrize("k", [2, 8])
+def test_checker_message_shows_the_embedded_normal_type(k):
+    """The message is byte for byte show(embed(nf)), whether it fits in SHOWN characters (k = 2) or is cut (k = 8)."""
+    ty = _type_level_twin(k)
+    with pytest.raises(TypeCheckError) as info:
+        check(Context(), TrueTm(), ty)
+    assert str(info.value) == f"expected type {show(embed(norm_type(Context(), ty)))}, got Bool()"
+
+
 def test_error_message_shows_no_memory_address():
     """A closure in a message shows its model by name, not as an object address."""
     with pytest.raises(IllTypedError, match="Clo") as info:
@@ -178,6 +193,18 @@ def test_deep_term_is_a_depth_error(name):
     with pytest.raises(DepthError, match="nested too deeply") as info:
         ENTRY_POINTS[name]()
     assert info.type is DepthError and info.value.__cause__ is None
+
+
+def test_norm_answers_on_a_long_binder_chain():
+    """quote reads a chain of Π-types in a loop, so fun x1 ... xn => x1 normalizes at n = DEPTH."""
+    t, ty = Var(DEPTH - 1), Bool()
+    for _ in range(DEPTH):
+        t, ty = Lam(t), Pi(Bool(), ty)
+    nf = norm(Context(), ty, t)
+    for _ in range(DEPTH):
+        assert isinstance(nf, LamNf)
+        nf = nf.body
+    assert nf == NeAtBool(VarNe(DEPTH - 1))
 
 
 def test_syntax_walks_answer_on_a_400_deep_chain():

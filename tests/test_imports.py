@@ -142,9 +142,9 @@ def env_cell_uses(tree: ast.Module) -> list[str]:
 def test_gate_sees_an_environment_cell():
     tree = ast.parse(
         "from .models import Env\nfrom . import models\n"
-        "env = models.Env(v, e)\nx = env.tail.head if env.length else Env\nn = len(env)\n"
+        "env = models.Env(v, e)\nx = env.tail.head if env.tail else Env\nn = len(env)\n"
     )
-    assert env_cell_uses(tree) == [".Env", ".head", ".length", ".tail", "Env", "import Env"]
+    assert env_cell_uses(tree) == [".Env", ".head", ".tail", ".tail", "Env", "import Env"]
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "models.py"], ids=lambda path: path.name)

@@ -2,17 +2,21 @@
 
 import random
 
+import pytest
+
 from sconekit.syntax import (
     Bool,
     ElimBool,
     FalseTm,
     Pi,
+    ScopeError,
     TrueTm,
     U,
+    Var,
     shift,
     subst,
 )
-from sconekit import oracle, typecheck
+from sconekit import nbe, oracle, typecheck
 from sconekit.models import (
     SBool,
     SPi,
@@ -33,6 +37,13 @@ import generated
 def test_booleans_evaluate_to_python_booleans():
     assert eval_term(STANDARD, (), TrueTm()) is True
     assert eval_term(STANDARD, (), FalseTm()) is False
+
+
+@pytest.mark.parametrize("ix", [5, 3, -1])
+def test_variable_out_of_range_names_the_environment_length(ix):
+    with pytest.raises(ScopeError) as info:
+        eval_term(nbe.NBE, (nbe.VBool(),) * 3, Var(ix))
+    assert str(info.value) == f"variable {ix} out of range in environment of length 3"
 
 
 def test_elim_bool_computes():

@@ -412,6 +412,62 @@ def test_restrict_is_natural_with_rename_nf():
     assert checked >= 40
 
 
+_CONST_BOOL = models.Clo(nbe.NBE, models.env_of(()), Bool())  # a codomain that ignores its argument
+# one value of each class
+_VALUES = [
+    nbe.VLam(models.Clo(nbe.NBE, models.env_of(()), Var(0))),
+    nbe.VTrue(),
+    nbe.VFalse(),
+    nbe.VLiftVal(nbe.VTrue()),
+    nbe.VCode(nbe.VBool()),
+    VNe(nbe.VBool(), 0),
+    nbe.VPi(nbe.VBool(), _CONST_BOOL),
+    nbe.VBool(),
+    nbe.VU(0),
+    nbe.VEl(VNe(nbe.VU(0), 0)),
+    nbe.VLift(nbe.VBool()),
+]
+# the value classes that quote reads back at each type class; a VNe of type Bool is no function
+_FITS = {
+    nbe.VPi: (nbe.VLam,),
+    nbe.VBool: (nbe.VTrue, nbe.VFalse, VNe),
+    nbe.VU: (nbe.VCode, VNe),
+    nbe.VEl: (VNe,),
+    nbe.VLift: (nbe.VLiftVal, VNe),
+}
+_TYPES = [v for v in _VALUES if v.__class__ in _FITS]
+_ILL_SHAPED = (
+    [(f"quote {ty.__class__.__name__} {v.__class__.__name__}", quote, (ty, v))
+     for ty in _TYPES for v in _VALUES if v.__class__ not in _FITS[ty.__class__]]
+    + [(f"quote_type {v.__class__.__name__}", quote_type, (v,)) for v in _VALUES if v.__class__ not in _FITS]
+    + [("quote_type VEl of a non-neutral", quote_type, (nbe.VEl(nbe.VTrue()),))]
+    + [(f"apply_val {v.__class__.__name__}", nbe.apply_val, (v, nbe.VTrue())) for v in _VALUES if v.__class__ is not nbe.VLam]
+)
+
+
+@pytest.mark.parametrize(("read", "args"), [case[1:] for case in _ILL_SHAPED], ids=[case[0] for case in _ILL_SHAPED])
+def test_every_ill_shaped_read_back_input_is_an_ill_typed_error(read, args):
+    with pytest.raises(nbe.IllTypedError) as info:
+        read(*args)
+    assert info.type is nbe.IllTypedError
+
+
+def test_show_nf_prints_what_show_of_embed_prints():
+    nfs = []
+    for seed in range(200):
+        ctx, ty, t = generated.term(seed)
+        nfs += [norm_type(ctx, ty)] + ([] if t is None else [norm(ctx, ty, t)])
+        if (drawn := generated.normal_form(seed)) is not None:
+            nfs.append(drawn[2])
+    tree = BoolNf()
+    for _ in range(12):  # Pi(x, x) nested: show cuts those of four or more levels
+        nfs.append(tree)
+        tree = PiNf(tree, tree)
+    for nf in nfs:
+        assert nbe.show_nf(nf) == models.show(embed(nf)), nf
+    assert sum(len(models.show(embed(nf))) > models.SHOWN for nf in nfs) >= 5
+
+
 def test_ill_typed_argument_of_a_stuck_application_raises_when_read_back():
     # [f : Bool -> Bool] |- f (fun x => x): the argument stays a value until quote reads it
     ctx = Context((Pi(Bool(), Bool()),))
