@@ -1,13 +1,13 @@
 """Normalization by evaluation: the model NBE, run by models.eval_term.
 
 Values keep binders as models.Clo closures over models' environments,
-which a binder extends in O(1); eval_term and reflect_context also take
-a tuple ordered outermost first.  Neutrals sit at de Bruijn levels: the
-ambient context's variable of index i sits at level -1-i, and the binder
-that quote opens at depth d at level d.  So a value keeps its meaning
-under new binders and nothing is ever weakened.  A stuck value keeps its
-spine unquoted; quote reads it back at its depth, level l as index
-depth-1-l, and yields typed, eta-long beta-normal forms.
+which a binder extends in O(1); eval_term also takes a tuple ordered
+outermost first.  Neutrals sit at de Bruijn levels: the ambient
+context's variable of index i sits at level -1-i, and the binder that
+quote opens at depth d at level d.  So a value keeps its meaning under
+new binders and nothing is ever weakened.  A stuck value keeps its spine
+unquoted; quote reads it back at its depth, level l as index depth-1-l,
+and yields typed, eta-long beta-normal forms.
 """
 
 from __future__ import annotations
@@ -474,18 +474,15 @@ def quote_ne(ne: SemNe, depth: int) -> Ne:
 # Normalization
 
 
-def reflect_context(ctx: Context, env: Iterable[Val] = (), base: int | None = None) -> Iterable[Val]:
+def reflect_context(ctx: Context, base: int | None = None) -> Iterable[Val]:
     """The environment of ctx, each entry evaluated in the values before it.
 
     Declared entry j of n is the neutral at level j-base, and base defaults
-    to n (index n-1-j).  env, the environment of ctx's first len(env)
-    entries, is extended by the rest, one eval_term and one O(1) extension
-    per entry.  The result supports len, iteration and reversed.
+    to n (index n-1-j); the type checker passes 0.  One eval_term and one
+    O(1) extension per entry.  The result supports len, iteration and reversed.
     """
-    env = models.env_of(env)
-    done = len(env)
-    level = done - (len(ctx) if base is None else base)
-    for entry, value in zip_longest(ctx.entries[done:], ctx.values[done:]):
+    env, level = models.env_of(()), -(len(ctx) if base is None else base)
+    for entry, value in zip_longest(ctx.entries, ctx.values):
         env = env.extend(VNe(eval_term(env, entry), level) if value is None else eval_term(env, value))
         level += 1
     return env

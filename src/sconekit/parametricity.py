@@ -12,6 +12,8 @@ the witness t* with every Var i re-pointed into the doubled context.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from . import typecheck
 from .models import show
 from .syntax import (
@@ -34,8 +36,6 @@ from .syntax import (
     depth_guarded,
     node,
     rename_with,
-    shift,
-    subst_with,
 )
 
 
@@ -45,6 +45,14 @@ class ParametricityError(Exception):
 
 class UnsupportedFragmentError(ParametricityError):
     """The input uses booleans, which have no relational interpretation here."""
+
+
+def _index(env: tuple | None, ix: int, depth: int) -> int:
+    """Var ix's original as an index at output depth, level l as depth-1-l like nbe.quote;
+    env chains (level, outer) cells, and ambient Var i sits at level -2i-2."""
+    while ix and env is not None:
+        env, ix = env[1], ix - 1
+    return depth - 1 - (-2 * ix - 2 if env is None else env[0])
 
 
 @depth_guarded
@@ -64,31 +72,32 @@ def _check_fragment(t: Term) -> None:
 @depth_guarded
 def param_term(t: Term) -> Term:
     """The witness t*, well-scoped in the doubled context."""
-    return _param_term(t)
+    return _param_term(t, None, 0)
 
 
 @depth_guarded
 def param_family(ty: Term) -> Term:
     """The predicate body A*(-): well-scoped in the doubled context
     extended by one subject variable at Var 0."""
-    return _param_family(ty)
+    return _param_family(ty, None, 1, lambda depth: Var(depth - 1))
 
 
-def _param_term(t: Term) -> Term:
+def _param_term(t: Term, env: tuple | None, depth: int, sh: Term | None = None) -> Term:
+    """t* at depth; sh is shadow(t) there if the caller built it, and its parts are shared."""
     _check_fragment(t)
     match t:
         case Var(ix):
-            return Var(2 * ix)
+            return Var(_index(env, ix, depth) - 1)  # the companion, one level above
         case Lam(b):
-            return Lam(Lam(_param_term(b)))
+            return Lam(Lam(_param_term(b, (depth, env), depth + 2)))
         case App(f, a):
-            return App(App(_param_term(f), shadow(a)), _param_term(a))
+            fn = _param_term(f, env, depth, None if sh is None else sh.fn)
+            arg = rename_with(a, lambda i: _index(env, i, depth)) if sh is None else sh.arg
+            return App(App(fn, arg), _param_term(a, env, depth, arg))
         case Code(a):
-            return Lam(Code(_param_family(a)))
-        case LiftTm(x):
-            return LiftTm(_param_term(x))
-        case UnliftTm(x):
-            return UnliftTm(_param_term(x))
+            return Lam(Code(_param_family(a, env, depth + 1, lambda d: Var(d - 1 - depth))))
+        case LiftTm(x) | UnliftTm(x):
+            return t.__class__(_param_term(x, env, depth, None if sh is None else sh.tm))
         case Pi(_, _) | U(_) | El(_) | Lift(_):
             raise ParametricityError(
                 "type former in term position; translate it with param_family"
@@ -96,23 +105,20 @@ def _param_term(t: Term) -> Term:
     raise ParametricityError(f"unknown term {show(t)}")
 
 
-def _param_family(ty: Term) -> Term:
+def _param_family(ty: Term, env: tuple | None, depth: int, subject: Callable[[int], Term]) -> Term:
+    """A*(subject) at depth; subject(d) is the subject read at depth d."""
     _check_fragment(ty)
     match ty:
         case U(level):
-            return Pi(El(Var(0)), U(level))
+            return Pi(El(subject(depth)), U(level))
         case El(c):
-            return El(App(shift(_param_term(c), 1), Var(0)))
+            return El(App(_param_term(c, env, depth), subject(depth)))
         case Lift(a):
-            return Lift(subst_with(_param_family(a), (UnliftTm(Var(0)),), 1))
+            return Lift(_param_family(a, env, depth, lambda d: UnliftTm(subject(d))))
         case Pi(dom, cod):
-            dom_base = shift(shadow(dom), 1)
-            dom_pred = subst_with(_param_family(dom), (Var(0),), 2)
-            cod_pred = subst_with(
-                _param_family(cod),
-                (App(Var(2), Var(1)), Var(0), Var(1)),
-                3,
-            )
+            dom_base = rename_with(dom, lambda i: _index(env, i, depth))
+            dom_pred = _param_family(dom, env, depth + 1, lambda d: Var(d - 1 - depth))
+            cod_pred = _param_family(cod, (depth, env), depth + 2, lambda d: App(subject(d), Var(d - 1 - depth)))
             return Pi(dom_base, Pi(dom_pred, cod_pred))
     raise ParametricityError(f"{show(ty)} is not a type in the fragment")
 
@@ -125,6 +131,7 @@ class ParamResult:
     witness_type: Term
 
 
+@depth_guarded
 def translate(t: Term, ty: Term) -> ParamResult:
     """Translate a closed term t : ty in the fragment and certify the result.
 
@@ -134,6 +141,6 @@ def translate(t: Term, ty: Term) -> ParamResult:
     ctx = Context()
     typecheck.check(ctx, t, ty)
     witness = param_term(t)
-    witness_type = subst_with(param_family(ty), (t,), 0)
+    witness_type = _param_family(ty, None, 0, lambda depth: t)
     typecheck.check(ctx, witness, witness_type)
     return ParamResult(t, ty, witness, witness_type)

@@ -291,11 +291,11 @@ def shift(t: Term, amount: int) -> Term:
     return rename_with(t, lambda i: i + amount)
 
 
-def subst_with(t: Term, terms: Sequence[Term], tail_shift: int = 0) -> Term:
+def subst_with(t: Term, terms: Sequence[Term]) -> Term:
     """Simultaneous substitution.
 
     Free Var i with i < len(terms) becomes terms[i]; any remaining free
-    Var i becomes Var(i - len(terms) + tail_shift).
+    Var i becomes Var(i - len(terms)).
     """
 
     def go(depth: int, v: Var) -> Term:
@@ -304,7 +304,7 @@ def subst_with(t: Term, terms: Sequence[Term], tail_shift: int = 0) -> Term:
         j = v.ix - depth
         if j < len(terms):
             return shift(terms[j], depth)
-        return Var(j - len(terms) + tail_shift + depth)
+        return Var(j - len(terms) + depth)
 
     return _map_vars(t, 0, go)
 
@@ -312,7 +312,7 @@ def subst_with(t: Term, terms: Sequence[Term], tail_shift: int = 0) -> Term:
 @depth_guarded
 def subst1(t: Term, a: Term) -> Term:
     """Instantiate the innermost bound variable of t (Var 0) with a."""
-    return subst_with(t, (a,), 0)
+    return subst_with(t, (a,))
 
 
 # ---------------------------------------------------------------------------

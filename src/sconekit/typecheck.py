@@ -98,7 +98,7 @@ class _Scope:
         env = () if scope is None else scope.env
         for scope in reversed(stale):
             if scope.outer is None:
-                env = nbe.reflect_context(scope.ctx, env, 0)
+                env = nbe.reflect_context(scope.ctx, base=0)
             elif scope.value is None:
                 env = env.extend(nbe.VNe(nbe.eval_term(env, scope.ty), scope.depth - 1))
             else:

@@ -35,6 +35,7 @@ from sconekit.syntax import (
     term_size,
 )
 from sconekit.typecheck import TypeCheckError, check, check_context, conv, conv_types, infer, wf_type
+from test_parametricity import pi_chain
 from test_typecheck import _MUTATIONS, _replace, _subterms
 
 DEPTH = 3000
@@ -180,6 +181,7 @@ ENTRY_POINTS = {
     "param_term": lambda: param_term(_nested_identity(Var(0))),
     "param_family": lambda: param_family(_nested(lambda cod: Pi(U(0), cod), U(0))),
     "shadow": lambda: shadow(_deep_pi()),
+    "translate": lambda: translate(*pi_chain(250)),  # the subject checks; the translation overflows
     "term_size": lambda: term_size(LAM_CHAIN),
     "shift": lambda: shift(LAM_CHAIN, 1),
     "subst1": lambda: subst1(LAM_CHAIN, TrueTm()),

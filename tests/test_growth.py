@@ -5,14 +5,17 @@ row builds its input at n and at 2n outside the measurement, then compares
 the tracemalloc peak of one call at each size: a procedure whose memory
 grows linearly stays within BOUND of doubling.  An environment copied at
 every binder keeps a quadratic number of cells alive and reads about 3.3x.
+Where memory cannot tell, a gate counts calls instead.
 """
 
 import tracemalloc
 
 import pytest
 
-from sconekit import canonicity, nbe, typecheck
+from sconekit import canonicity, nbe, parametricity, typecheck
 from sconekit.syntax import App, Bool, Context, FalseTm, Lam, Pi, TrueTm, Var
+from test_nbe import _count_calls
+from test_parametricity import church, pi_chain
 
 BOUND = 2.3
 
@@ -48,11 +51,17 @@ def canon_nary(n):
     return lambda: canonicity.canon(t)
 
 
+def param_church(n):
+    t, _ = church(n)
+    return lambda: parametricity.param_term(t)
+
+
 # (entry point, family, n): one call at n against one at 2n
 GROWTH = [
     ("nbe.norm", norm_projection, 200),
     ("typecheck.check", check_projection, 200),
     ("canonicity.canon", canon_nary, 100),
+    ("parametricity.param_term", param_church, 200),
 ]
 
 
@@ -71,3 +80,19 @@ def test_peak_memory_grows_linearly(entry, family, n):
     small, large = family(n), family(2 * n)
     ratio = peak_bytes(large) / peak_bytes(small)
     assert ratio <= BOUND, f"{entry} at {n} -> {2 * n}: peak grew {ratio:.2f}x"
+
+
+def test_param_family_work_grows_linearly(monkeypatch):
+    """(B1 : U0) -> El B1 -> ... -> El Bn: no translated codomain is walked again.
+
+    The tracemalloc peak cannot show this, as it grows about 2x per
+    doubling with the re-walks too; so the gate counts syntax walks and
+    the translation's own calls.
+    """
+    calls = _count_calls(monkeypatch, ("syntax._map_vars", "parametricity._param_term", "parametricity._param_family"))
+    work = []
+    for n in (10, 20):
+        calls.update(dict.fromkeys(calls, 0))
+        parametricity.param_family(pi_chain(n)[1])
+        work.append(sum(calls.values()))
+    assert work[1] <= 2.2 * work[0], work
