@@ -3,14 +3,14 @@
 A Model packages one carrier operation per former, with binders taken as
 meta-level functions.  eval_term interprets syntax, terms and types alike,
 into any model; each binder becomes a Clo over an Env, a persistent chain
-of cells with the innermost value first, so opening a binder is O(1).
-Callers may pass an environment as a tuple ordered outermost first, which
-is converted once.  Only this module reads an Env's cells; other modules
-build one with env_of or Env.extend and read it by len, iteration and
-reversed.  StandardModel interprets types as small enumerable sets,
-which makes the semantic equations samplable in tests.  Glued evaluation
-is the model canonicity.GLUED, and normalization by evaluation the model
-nbe.NBE.
+of cells with the innermost value first, so opening a binder is O(1); a
+definition's cell holds a Lazy until a Var first reads it.  Callers may
+pass an environment as a tuple ordered outermost first, which is converted
+once.  Only this module reads an Env's cells; other modules build one with
+env_of or Env.extend and read it by len, iteration and reversed.
+StandardModel interprets types as small enumerable sets, which makes the
+semantic equations samplable in tests.  Glued evaluation is the model
+canonicity.GLUED, and normalization by evaluation the model nbe.NBE.
 """
 
 from __future__ import annotations
@@ -196,6 +196,15 @@ class Clo:
         return eval_term(self.model, Env(a, self.env), self.body)
 
 
+class Lazy:
+    """A definition: term under env, which eval_term evaluates into its cell when a Var first reads it."""
+
+    __slots__ = __match_args__ = ("env", "term")
+
+    def __init__(self, env: Env, term: Term) -> None:
+        self.env, self.term = env, term
+
+
 def eval_term(model: Model, env: Iterable[Any], t: Term) -> Any:
     """Interpret t, a term or a type, in model.
 
@@ -218,6 +227,8 @@ def eval_term(model: Model, env: Iterable[Any], t: Term) -> Any:
             cell, ix = cell.tail, ix - 1
         if ix or cell is _EMPTY:
             raise ScopeError(f"variable {t.ix} out of range in environment of length {len(env)}")
+        if cell.head.__class__ is Lazy:
+            cell.head = eval_term(model, cell.head.env, cell.head.term)
         return cell.head
     if cls is App:
         return model.app(eval_term(model, env, t.fn), eval_term(model, env, t.arg))

@@ -474,17 +474,15 @@ def quote_ne(ne: SemNe, depth: int) -> Ne:
 # Normalization
 
 
-def reflect_context(ctx: Context, base: int | None = None) -> Iterable[Val]:
+def reflect_context(ctx: Context) -> Iterable[Val]:
     """The environment of ctx, each entry evaluated in the values before it.
 
-    Declared entry j of n is the neutral at level j-base, and base defaults
-    to n (index n-1-j); the type checker passes 0.  One eval_term and one
-    O(1) extension per entry.  The result supports len, iteration and reversed.
+    Declared entry j of n is the neutral at level j-n (index n-1-j), as in
+    the type checker.  The result supports len, iteration and reversed.
     """
-    env, level = models.env_of(()), -(len(ctx) if base is None else base)
-    for entry, value in zip_longest(ctx.entries, ctx.values):
+    env = models.env_of(())
+    for level, (entry, value) in enumerate(zip_longest(ctx.entries, ctx.values), -len(ctx)):
         env = env.extend(VNe(eval_term(env, entry), level) if value is None else eval_term(env, value))
-        level += 1
     return env
 
 

@@ -19,7 +19,7 @@ class DepthError(RecursionError):
     """A term is nested too deeply for the recursion limit.
 
     The public entry points of typecheck, norm, norm_type, embed, canon,
-    surface.pretty, term_size, shift, subst1, subst, rename and the
+    surface.pretty, term_size, is_closed, shift, subst1, subst, rename and the
     oracle's reduce, oracle_norm, oracle_norm_type and oracle_conv raise it
     instead of a bare RecursionError; sys.setrecursionlimit raises the limit.
     """
@@ -254,6 +254,7 @@ def _any_var(t: Term, depth: int, test: Callable[[int, int], bool]) -> bool:
     return False
 
 
+@depth_guarded
 def is_closed(t: Term) -> bool:
     """Whether t has no free variable."""
     return not _any_var(t, 0, lambda depth, ix: ix >= depth)
@@ -347,7 +348,6 @@ class Context:
         if not 0 <= ix < n:
             raise ScopeError(f"variable {ix} out of range in context of length {n}")
         return shift(self.entries[n - 1 - ix], ix + 1)
-
 
 
 # ---------------------------------------------------------------------------

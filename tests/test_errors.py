@@ -89,6 +89,12 @@ def test_check_in_a_context_whose_entry_is_no_type():
         check(Context((TrueTm(),)), Var(0), Bool())
 
 
+def test_check_evaluates_every_context_entry():
+    """The checker evaluates the caller's entries when it opens its scope, so one that fails to evaluate raises though no term reads it."""
+    with pytest.raises(IllTypedError, match="cannot apply non-function value VTrue"):
+        check(Context((App(TrueTm(), TrueTm()),)), TrueTm(), Bool())
+
+
 def test_norm_of_an_ill_typed_term():
     with pytest.raises(IllTypedError, match="cannot quote VLam"):
         norm(Context(), Bool(), Lam(Var(0)))
@@ -183,6 +189,7 @@ ENTRY_POINTS = {
     "shadow": lambda: shadow(_deep_pi()),
     "translate": lambda: translate(*pi_chain(250)),  # the subject checks; the translation overflows
     "term_size": lambda: term_size(LAM_CHAIN),
+    "is_closed": lambda: is_closed(LAM_CHAIN),
     "shift": lambda: shift(LAM_CHAIN, 1),
     "subst1": lambda: subst1(LAM_CHAIN, TrueTm()),
     "subst": lambda: subst(Substitution(BOOL_CTX, BOOL_CTX, (Var(0),)), LAM_CHAIN),

@@ -1,7 +1,9 @@
 """Kernel typechecker behaviour."""
 
 import dataclasses
+import hashlib
 import random
+import sys
 
 import pytest
 
@@ -211,7 +213,7 @@ def test_redex_nesting_work_grows_linearly(monkeypatch):
 
 
 def test_checker_embeds_a_normal_type_only_to_bind_it(monkeypatch):
-    """Normal types stay nbe normal forms: dup(k) embeds none, and each binder opened embeds its domain."""
+    """Types stay values: dup(k) embeds none, and a binder embeds nothing unless an inferred type reads it."""
     calls = _count_calls(monkeypatch, ("embed",))
     for k in (10, 20):
         check(Context(), _dup(k), Bool())
@@ -222,6 +224,77 @@ def test_checker_embeds_a_normal_type_only_to_bind_it(monkeypatch):
         t, ty = Lam(t), Pi(Bool(), ty)
     check(Context(), t, ty)
     assert calls["embed"] <= n
+
+
+def _eta_spine(n):
+    """fun f x1 ... xn => f x1 ... xn at (Bool^n -> Bool) -> Bool^n -> Bool."""
+    t, ty = Var(n), Bool()
+    for i in range(n):
+        t, ty = App(t, Var(n - 1 - i)), Pi(Bool(), ty)
+    for _ in range(n + 1):
+        t = Lam(t)
+    return t, Pi(ty, ty)
+
+
+_WALKS = ("syntax._map_vars", "syntax._any_var")
+
+
+def test_eta_spine_work_grows_linearly(monkeypatch):
+    """Each argument is checked against its domain and instantiates the codomain as a value: no type is re-normalized."""
+    calls = _count_calls(monkeypatch, ("models.eval_term", "quote_type") + _WALKS)
+    work = []
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 5000))  # each counted call adds a frame
+    try:
+        for n in (100, 200):
+            calls.update(dict.fromkeys(calls, 0))
+            check(Context(), *_eta_spine(n))
+            work.append(sum(calls.values()))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert work[1] <= 2.2 * work[0], work
+
+
+@pytest.mark.parametrize("term, ty", [_eta_spine(100), (_dup(20), Bool())], ids=["eta spine", "dup(20)"])
+def test_check_walks_no_syntax(monkeypatch, term, ty):
+    """check decides by values: it renames, substitutes and scans no term."""
+    calls = _count_calls(monkeypatch, _WALKS)
+    check(Context(), term, ty)
+    assert calls == dict.fromkeys(_WALKS, 0)
+
+
+def _applied_let(m, s):
+    """(fun f => f (... (f true))) (elim true at _ => Bool -> Bool | fun x => N_s(x) | fun x => x),
+    with m applications of f and N_s(x) s nested negations of x."""
+    neg = Var(0)
+    for _ in range(s):
+        neg = ElimBool(Bool(), FalseTm(), TrueTm(), neg)
+    body = TrueTm()
+    for _ in range(m):
+        body = App(Var(0), body)
+    return App(Lam(body), ElimBool(Pi(Bool(), Bool()), Lam(neg), Lam(Var(0)), TrueTm()))
+
+
+def test_applied_let_bound_lambda_is_not_evaluated_per_application(monkeypatch):
+    """A let-bound argument is evaluated when a type reads it, and an argument that only a
+    non-dependent codomain receives is never evaluated: so the work is O(m + s), not O(m * s)."""
+    calls = _count_calls(monkeypatch, ("models.eval_term",))
+    work = []
+    for k in (50, 100):
+        calls.update(dict.fromkeys(calls, 0))
+        check(Context(), _applied_let(k, k), Bool())
+        work.append(calls["models.eval_term"])
+    assert work[1] <= 2.2 * work[0], work
+
+
+def test_eta_spine_checks_under_the_default_recursion_limit():
+    """An application spine is inferred in a loop, so only binders cost a frame each."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        check(Context(), *_eta_spine(400))
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_nary_redex_binds_every_argument():
@@ -362,3 +435,45 @@ def test_checker_agrees_with_substituting_reference():
             verdicts += 2
             accepted += (got[0] == "ok") + (got_ty[0] == "ok")
     assert verdicts >= 3000 and accepted >= 1000 and redex_mutants >= 800, (verdicts, accepted, redex_mutants)
+
+
+# ---------------------------------------------------------------------------
+# Public results, pinned by a digest
+
+
+def _shown(call):
+    """The repr of call's result, or the class and message of the error it raises."""
+    try:
+        return repr(call())
+    except Exception as e:  # every error, documented or not, is part of the outcome
+        return f"{type(e).__name__}: {e}"
+
+
+# The sha256 of the 22,008 outcomes that test_public_results_are_pinned hashes.
+OUTCOMES_DIGEST = "0ba705b5ba09e1dbd27c2efbe3550dc6897c0d412e66c8e92f8d1d8e298c07e4"
+
+
+def test_public_results_are_pinned():
+    """infer, check, conv and wf_type of every subterm of 375 generated items, in
+    the item's context, and infer, check and conv of 12 seeded mutants of each:
+    a changed result, error class or message changes the digest."""
+    digest, calls = hashlib.sha256(), 0
+    for seed in range(400):
+        ctx, ty, t = generated.term(seed)
+        if t is None:
+            continue
+        rng, mutants = random.Random(seed), []
+        for _ in range(12):
+            path, sub = rng.choice(list(_subterms(t)))
+            mutants.append(_replace(t, path, rng.choice(_MUTATIONS)(sub, rng)))
+        outcomes = []
+        for _, s in _subterms(t):
+            outcomes += [_shown(lambda: infer(ctx, s)), _shown(lambda: check(ctx, s, ty)),
+                         _shown(lambda: conv(ctx, ty, s, t)), _shown(lambda: wf_type(ctx, s))]
+        for u in mutants:
+            outcomes += [_shown(lambda: infer(ctx, u)), _shown(lambda: check(ctx, u, ty)), _shown(lambda: conv(ctx, ty, u, t))]
+        for outcome in outcomes:
+            digest.update(outcome.encode() + b"\0")
+        calls += len(outcomes)
+    assert calls == 22_008
+    assert digest.hexdigest() == OUTCOMES_DIGEST
