@@ -21,7 +21,7 @@ import enum
 from typing import Any, Callable
 
 from . import typecheck
-from .models import Model, eval_term, eval_type, show
+from .models import Model, eval_term, show
 from .syntax import (
     App,
     Bool,
@@ -186,7 +186,7 @@ GLUED = GluedModel()
 @depth_guarded
 def glued_eval_type(env: tuple[GluedValue, ...], ty: Term) -> GluedValue:
     """Evaluate a type; env is ordered outermost first, as in models."""
-    return eval_type(GLUED, env, ty)
+    return eval_term(GLUED, env, ty)
 
 
 @depth_guarded

@@ -280,7 +280,7 @@ def eval_context(model: Model, entries: Sequence[Term]) -> list[tuple]:
         envs = [
             env + (v,)
             for env in envs
-            for v in elements(eval_type(model, env, entry))  # type: ignore[arg-type]
+            for v in elements(eval_term(model, env, entry))  # type: ignore[arg-type]
         ]
     return envs
 

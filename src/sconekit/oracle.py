@@ -102,6 +102,11 @@ def root_step(t: Term) -> Optional[tuple[Term, str]]:
     return None
 
 
+def _with_child(t: Term, name: str, child: Term) -> Term:
+    """t with its field name replaced by child."""
+    return t.__class__(*[child if field == name else getattr(t, field) for field in t.__match_args__])
+
+
 def step(t: Term) -> Optional[tuple[Term, tuple[int, ...], str]]:
     """One leftmost-outermost contraction, with its position and rule name."""
     r = root_step(t)
@@ -111,7 +116,7 @@ def step(t: Term) -> Optional[tuple[Term, tuple[int, ...], str]]:
         sub = step(getattr(t, name))
         if sub is not None:
             new_child, pos, rule = sub
-            return replace(t, **{name: new_child}), (i,) + pos, rule
+            return _with_child(t, name, new_child), (i,) + pos, rule
     return None
 
 
@@ -170,7 +175,7 @@ def _whnf(t: Term, fuel: int) -> tuple[Term, int]:
         head2, left = _whnf(head, fuel)
         if left == fuel:
             return t, fuel
-        t, fuel = replace(t, **{name: head2}), left
+        t, fuel = _with_child(t, name, head2), left
 
 
 # ---------------------------------------------------------------------------
@@ -574,35 +579,15 @@ class _Gen:
                 case Lift(inner):
                     ne = nbe.UnliftNe(ne)
                     ty = inner
-                case Bool():
-                    # eliminate into the target via a constant motive
-                    motive = _nf_of_normal_type(shift(target, 1))
-                    if motive is None:
-                        return None
+                case Bool() if target.__class__ is El and target.code.__class__ is Var:
+                    # eliminate into the target, El (Var i), via a constant motive
+                    motive = nbe.ElNf(nbe.VarNe(target.code.ix + 1))
                     tcase = self.nf(ctx, target, depth - 1)
                     fcase = self.nf(ctx, target, depth - 1)
                     return nbe.ElimBoolNe(motive, tcase, fcase, ne)
                 case _:
                     return None
         return None
-
-
-def _nf_of_normal_type(ty: Term) -> Optional[nbe.Nf]:
-    """Convert an unambiguous normal type term into an Nf; None if ambiguous."""
-    match ty:
-        case Bool():
-            return nbe.BoolNf()
-        case U(level):
-            return nbe.UNf(level)
-        case Pi(d, c):
-            dn, cn = _nf_of_normal_type(d), _nf_of_normal_type(c)
-            return nbe.PiNf(dn, cn) if dn is not None and cn is not None else None
-        case Lift(a):
-            an = _nf_of_normal_type(a)
-            return nbe.LiftNf(an) if an is not None else None
-        case El(Var(ix)):
-            return nbe.ElNf(nbe.VarNe(ix))
-    return None
 
 
 def _attempts(budget: GenBudget, draw: Callable[[_Gen], T]) -> T:

@@ -136,9 +136,13 @@ def wf_type(ctx: Context, ty: Term) -> int:
 
 @depth_guarded
 def check_context(ctx: Context) -> None:
+    """Check that each entry is a well-formed type, and each definition has its entry's type, in the entries before it."""
     scope = _ROOT
-    for entry in ctx.entries:
-        scope = scope.extend(_wf_type(scope, entry)[1])
+    for entry, value in zip_longest(ctx.entries, ctx.values):
+        vty = _wf_type(scope, entry)[1]
+        if value is not None:
+            _check(scope, value, vty)
+        scope = scope.extend(vty, entry, None if value is None else Lazy(scope.env, value))
 
 
 def _bind_head(scope: _Scope, t: Term) -> tuple[_Scope, Term, list[Term]] | None:

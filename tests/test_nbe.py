@@ -1,12 +1,12 @@
 """Normalization by evaluation: normal forms, eta-expansion, naturality."""
 
 import dataclasses
-import sys
 
 import pytest
 
 import generated
 import reference_nbe as ref
+from counting import counting
 from sconekit.surface import parse_file_contents, resolve_term, resolve_type
 from sconekit.syntax import (
     App,
@@ -225,25 +225,6 @@ def test_context_environment_agrees_with_weakening_reference():
     assert defined >= 150 and variables >= 1000
 
 
-def test_context_environment_is_built_without_restricting(monkeypatch):
-    calls = {"restrict": 0, "eval_term": 0}
-    for name in calls:
-        original = getattr(nbe, name)
-
-        def counting(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(nbe, name, counting)
-    evals = []
-    for n in (200, 400):
-        calls.update(restrict=0, eval_term=0)
-        assert norm(Context((Bool(),) * n), Bool(), Var(n - 1)) == NeAtBool(VarNe(n - 1))
-        assert calls["restrict"] == 0
-        evals.append(calls["eval_term"])
-    assert evals[1] <= 2.2 * evals[0]
-
-
 def test_node_classes_are_slotted_dataclasses():
     bases = (syntax.Term, nbe.Ne, nbe.Nf, nbe.Val)
     classes = [
@@ -273,52 +254,8 @@ def test_norm_agrees_with_index_reference():
     assert terms >= 300 and opened >= 200
 
 
-def _count_calls(monkeypatch, names):
-    """Count calls of nbe's functions by name, and of another sconekit module's as "module.name"."""
-    calls = dict.fromkeys(names, 0)
-    for name in names:
-        module, _, attr = name.rpartition(".")
-        owner = sys.modules[f"sconekit.{module or 'nbe'}"]
-        original = getattr(owner, attr)
-
-        def counting(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(owner, attr, counting)
-    return calls
-
-
-@pytest.mark.parametrize("operation", ["norm", "check"])
-def test_binder_family_work_grows_linearly(monkeypatch, operation):
-    """fun x1 ... xn => x1 at Bool -> ... -> Bool: nothing is re-weakened under a binder."""
-    calls = _count_calls(monkeypatch, ("eval_term", "models.eval_term", "quote", "quote_type", "restrict"))
-    work = []
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 5000))  # each counted call adds a frame to a 400-deep quote
-    try:
-        for n in (200, 400):
-            t, ty = Var(n - 1), Bool()
-            for _ in range(n):
-                t, ty = Lam(t), Pi(Bool(), ty)
-            calls.update(dict.fromkeys(calls, 0))
-            if operation == "norm":
-                nf = norm(Context(), ty, t)
-                for _ in range(n):
-                    nf = nf.body
-                assert nf == NeAtBool(VarNe(n - 1))
-            else:
-                typecheck.check(Context(), t, ty)
-            assert calls["restrict"] == 0
-            work.append(calls["eval_term"] + calls["models.eval_term"] + calls["quote"] + calls["quote_type"])
-    finally:
-        sys.setrecursionlimit(limit)
-    assert work[1] <= 2.2 * work[0], work
-
-
-def test_every_route_evaluates_through_the_model_evaluator(monkeypatch):
+def test_every_route_evaluates_through_the_model_evaluator():
     """NbE, glued evaluation and the standard model are all run by models.eval_term."""
-    calls = _count_calls(monkeypatch, ("models.eval_term",))
     t = App(NEG, TrueTm())
     routes = {
         "norm": lambda: norm(Context(), Bool(), t),
@@ -326,8 +263,8 @@ def test_every_route_evaluates_through_the_model_evaluator(monkeypatch):
         "standard": lambda: models.eval_term(models.STANDARD, (), t),
     }
     for name, route in routes.items():
-        calls.update(dict.fromkeys(calls, 0))
-        route()
+        with counting("models.eval_term") as calls:
+            route()
         assert calls["models.eval_term"] >= 1, name
 
 

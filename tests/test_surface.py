@@ -1,7 +1,5 @@
 """Surface syntax: parsing, scope resolution, printing round-trips."""
 
-import sys
-
 import pytest
 
 from sconekit.syntax import (
@@ -17,7 +15,7 @@ from sconekit.syntax import (
     U,
     Var,
 )
-from sconekit import oracle, surface, syntax
+from sconekit import oracle
 from sconekit.surface import (
     MAX_NESTING,
     SurfaceError,
@@ -83,34 +81,6 @@ def test_pretty_names_by_binder_depth():
     assert pretty(Pi(Pi(U(0), El(Var(0))), Bool())) == "((x0 : U0) -> El x0) -> Bool"
     # the codomain uses the outer binder from inside an inner Pi
     assert pretty(Pi(U(0), Pi(Bool(), El(Var(1))))) == "(x0 : U0) -> Bool -> El x0"
-
-
-def test_pretty_work_grows_linearly_on_arrow_chains(monkeypatch):
-    """Bool -> ... -> Bool: deciding each arrow walks no codomain again."""
-    calls = 0
-    for owner, attr in ((surface, "_pp"), (syntax, "_any_var")):
-        original = getattr(owner, attr)
-
-        def counting(*args, _original=original):
-            nonlocal calls
-            calls += 1
-            return _original(*args)
-
-        monkeypatch.setattr(owner, attr, counting)
-    work = []
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 5000))  # each counted call adds a frame to a 400-deep print
-    try:
-        for n in (200, 400):
-            ty = Bool()
-            for _ in range(n):
-                ty = Pi(Bool(), ty)
-            calls = 0
-            assert pretty(ty) == "Bool -> " * n + "Bool"
-            work.append(calls)
-    finally:
-        sys.setrecursionlimit(limit)
-    assert work[1] <= 2.2 * work[0], work
 
 
 def test_universe_suffix_is_decimal_digits():
