@@ -35,6 +35,7 @@ from .syntax import (
     subst1,
     term_size,
 )
+from .models import ModelError
 from .nbe import IllTypedError, Ne, Nf, embed, norm, norm_type
 from .typecheck import (
     TypeCheckError,

@@ -258,9 +258,7 @@ def eval_term(model: Model, env: Iterable[Any], t: Term) -> Any:
     raise ModelError(f"{show(t)} is not interpretable")
 
 
-def eval_type(model: Model, env: Iterable[Any], ty: Term) -> Any:
-    """eval_term: syntax has one sort, and the type checker tells types from terms."""
-    return eval_term(model, env, ty)
+eval_type = eval_term  # syntax has one sort, and the type checker tells types from terms
 
 
 def eval_substitution(model: Model, env: Iterable[Any], s: Substitution) -> tuple:

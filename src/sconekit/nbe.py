@@ -12,7 +12,6 @@ and yields typed, eta-long beta-normal forms.
 
 from __future__ import annotations
 
-from itertools import zip_longest
 from typing import Callable, Iterable
 
 from . import models
@@ -56,8 +55,8 @@ class IllTypedError(TypeError):
 # Neutral and normal forms
 
 
-# Each class declares its node-valued fields and binders in _children, as
-# syntax.Term's subclasses do, so syntax.rename_with renames normal forms.
+# Each class's _children pairs its own fields with its term former's binder
+# counts (see _FORMER below), so syntax.rename_with renames normal forms.
 
 
 @node
@@ -73,14 +72,12 @@ class Nf:
 @node
 class VarNe(Ne):
     ix: int
-    _children = None
 
 
 @node
 class AppNe(Ne):
     fn: Ne
     arg: Nf
-    _children = (("fn", 0), ("arg", 0))
 
 
 @node
@@ -89,19 +86,16 @@ class ElimBoolNe(Ne):
     tcase: Nf
     fcase: Nf
     scrut: Ne
-    _children = (("motive", 1), ("tcase", 0), ("fcase", 0), ("scrut", 0))
 
 
 @node
 class UnliftNe(Ne):
     tm: Ne
-    _children = (("tm", 0),)
 
 
 @node
 class LamNf(Nf):
     body: Nf
-    _children = (("body", 1),)
 
 
 @node
@@ -117,31 +111,26 @@ class FalseNf(Nf):
 @node
 class CodeNf(Nf):
     ty: Nf
-    _children = (("ty", 0),)
 
 
 @node
 class LiftTmNf(Nf):
     tm: Nf
-    _children = (("tm", 0),)
 
 
 @node
 class NeAtBool(Nf):
     ne: Ne
-    _children = (("ne", 0),)
 
 
 @node
 class NeAtEl(Nf):
     ne: Ne
-    _children = (("ne", 0),)
 
 
 @node
 class NeAtU(Nf):
     ne: Ne
-    _children = (("ne", 0),)
 
 
 # normal types
@@ -149,7 +138,6 @@ class NeAtU(Nf):
 class PiNf(Nf):
     dom: Nf
     cod: Nf
-    _children = (("dom", 0), ("cod", 1))
 
 
 @node
@@ -165,19 +153,23 @@ class UNf(Nf):
 @node
 class ElNf(Nf):
     ne: Ne
-    _children = (("ne", 0),)
 
 
 @node
 class LiftNf(Nf):
     ty: Nf
-    _children = (("ty", 0),)
 
 
-# The term former of each neutral, normal term and normal type; a NeAt* wrapper embeds as its neutral.
+# The term former of each neutral, normal term and normal type; a wrapper embeds as its neutral.
 _FORMER = {VarNe: Var, AppNe: App, ElimBoolNe: ElimBool, UnliftNe: UnliftTm,
            LamNf: Lam, TrueNf: TrueTm, FalseNf: FalseTm, CodeNf: Code, LiftTmNf: LiftTm,
            PiNf: Pi, BoolNf: Bool, UNf: U, ElNf: El, LiftNf: Lift}
+_WRAPPERS = (NeAtBool, NeAtEl, NeAtU)
+for _cls, _former in _FORMER.items():  # the class's fields, with its former's binder counts
+    _cls._children = _former._children and tuple(zip(_cls.__match_args__, [b for _, b in _former._children]))
+for _cls in _WRAPPERS:  # the neutral sits under no binder
+    _cls._children = (("ne", 0),)
+del _cls, _former  # so that no module-level name is bound to a class twice
 
 
 @depth_guarded
@@ -187,7 +179,7 @@ def embed(nf: Nf) -> Term:
 
 
 def _embed(x: Nf | Ne) -> Term:
-    if isinstance(x, (NeAtBool, NeAtEl, NeAtU)):
+    if isinstance(x, _WRAPPERS):
         x = x.ne
     if (former := _FORMER.get(x.__class__)) is None:
         raise IllTypedError(f"unknown normal form {show(x)}")
@@ -206,7 +198,7 @@ def show_nf(nf: Nf) -> str:
 
 def _embed_node(x: object) -> object:
     """The root of x's embedding over x's own children, or x if it is no normal form."""
-    if isinstance(x, (NeAtBool, NeAtEl, NeAtU)):
+    if isinstance(x, _WRAPPERS):
         x = x.ne
     former = _FORMER.get(x.__class__)
     return x if former is None else former(*[getattr(x, name) for name in x.__match_args__])
@@ -481,7 +473,7 @@ def reflect_context(ctx: Context) -> Iterable[Val]:
     the type checker.  The result supports len, iteration and reversed.
     """
     env = models.env_of(())
-    for level, (entry, value) in enumerate(zip_longest(ctx.entries, ctx.values), -len(ctx)):
+    for level, (entry, value) in enumerate(ctx.bindings(), -len(ctx)):
         env = env.extend(VNe(eval_term(env, entry), level) if value is None else eval_term(env, value))
     return env
 

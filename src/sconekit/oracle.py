@@ -301,12 +301,14 @@ def _eta_type(ctx: Context, ty: Term) -> Term:
 
 @depth_guarded
 def oracle_norm(ctx: Context, ty: Term, t: Term) -> Term:
-    """Beta-normalize, then eta-expand along ty.  Independent of the NbE path."""
+    """Unfold ctx's definitions, beta-normalize, then eta-expand along ty.  Independent of the NbE path."""
+    ctx, ty, t = ctx.unfold(ty, t)
     return _eta(ctx, ty, beta_normalize(t))
 
 
 @depth_guarded
 def oracle_norm_type(ctx: Context, ty: Term) -> Term:
+    ctx, ty = ctx.unfold(ty)
     return _eta_type(ctx, beta_normalize(ty))
 
 

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from dataclasses import MISSING, FrozenInstanceError, dataclass
 from functools import cache, wraps
-from typing import Callable, Sequence
+from itertools import zip_longest
+from typing import Callable, Iterator, Sequence
 
 
 class ScopeError(Exception):
@@ -348,6 +349,33 @@ class Context:
         if not 0 <= ix < n:
             raise ScopeError(f"variable {ix} out of range in context of length {n}")
         return shift(self.entries[n - 1 - ix], ix + 1)
+
+    def bindings(self) -> Iterator[tuple[Term, Term | None]]:
+        """Each entry with its definition or None, outermost first; more definitions than entries raise ScopeError."""
+        if len(self.values) > len(self.entries):
+            raise ScopeError(f"context of {len(self.entries)} entries has {len(self.values)} definitions")
+        return zip_longest(self.entries, self.values)
+
+    def unfold(self, *terms: Term) -> tuple:
+        """(ctx, *terms) with each defined variable replaced by its definition, itself unfolded.
+
+        ctx keeps every entry, unfolded, so each index keeps its meaning; subst
+        substitutes, so a variable out of range raises ScopeError.
+        """
+        if not self.values:
+            return (self, *terms)
+        done, images = Context(), ()  # the unfolded prefix; what its variables stand for, innermost first
+        for j, (entry, value) in enumerate(self.bindings()):
+            s = Substitution(done, Context(self.entries[:j], self.values[:j]), images)
+            entry = subst(s, entry)
+            if value is None:
+                done, image = done.extend(entry), Var(0)
+            else:
+                value = subst(s, value)
+                done, image = done.define(entry, value), shift(value, 1)
+            images = (image, *(shift(t, 1) for t in images))
+        s = Substitution(done, self, images)
+        return (done, *(subst(s, t) for t in terms))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ only public infer reads syntax, by the thunk _infer returns beside a type.
 
 from __future__ import annotations
 
-from itertools import zip_longest
 from typing import Callable
 
 from . import nbe
@@ -87,7 +86,7 @@ _ROOT = _Scope(None, None, None, env_of(()), 0, 0)  # the empty context's scope
 def _scope(ctx: Context) -> _Scope:
     """The scope of the caller's context, each entry's type evaluated in the entries before it."""
     scope = _Scope(None, None, None, env_of(()), 0, -len(ctx.entries)) if ctx.entries else _ROOT
-    for entry, value in zip_longest(ctx.entries, ctx.values):
+    for entry, value in ctx.bindings():
         scope = scope.extend(nbe.eval_term(scope.env, entry), entry, None if value is None else Lazy(scope.env, value))
     return scope
 
@@ -138,7 +137,7 @@ def wf_type(ctx: Context, ty: Term) -> int:
 def check_context(ctx: Context) -> None:
     """Check that each entry is a well-formed type, and each definition has its entry's type, in the entries before it."""
     scope = _ROOT
-    for entry, value in zip_longest(ctx.entries, ctx.values):
+    for entry, value in ctx.bindings():
         vty = _wf_type(scope, entry)[1]
         if value is not None:
             _check(scope, value, vty)

@@ -84,6 +84,49 @@ def test_error_classes_are_exported_and_compatible():
     assert sconekit.DepthError is DepthError and issubclass(DepthError, RecursionError)
 
 
+# one declared entry and two definitions: the second defines no entry
+OVERDEFINED = Context((Bool(),), (None, TrueTm()))
+OVERDEFINED_CALLS = {
+    "norm": lambda: norm(OVERDEFINED, Bool(), Var(0)),
+    "norm_type": lambda: norm_type(OVERDEFINED, Bool()),
+    "check": lambda: check(OVERDEFINED, Var(0), Bool()),
+    "infer": lambda: infer(OVERDEFINED, Var(0)),
+    "conv": lambda: conv(OVERDEFINED, Bool(), Var(0), Var(0)),
+    "conv_types": lambda: conv_types(OVERDEFINED, Bool(), Bool()),
+    "wf_type": lambda: wf_type(OVERDEFINED, Bool()),
+    "check_context": lambda: check_context(OVERDEFINED),
+    "oracle_norm": lambda: oracle.oracle_norm(OVERDEFINED, Bool(), Var(0)),
+    "oracle_norm_type": lambda: oracle.oracle_norm_type(OVERDEFINED, Bool()),
+    "oracle_conv": lambda: oracle.oracle_conv(OVERDEFINED, Bool(), Var(0), Var(0)),
+}
+
+
+@pytest.mark.parametrize("name", OVERDEFINED_CALLS)
+def test_more_definitions_than_entries_is_a_scope_error(name):
+    with pytest.raises(ScopeError, match="context of 1 entries has 2 definitions"):
+        OVERDEFINED_CALLS[name]()
+
+
+NONE_CTX = Context((None,))  # an entry that is no term
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: check(NONE_CTX, TrueTm(), Bool()),
+        lambda: infer(NONE_CTX, TrueTm()),
+        lambda: wf_type(NONE_CTX, Bool()),
+        lambda: norm_type(NONE_CTX, Bool()),
+        lambda: norm(Context(), Bool(), None),
+        lambda: glued_eval((), App(Lam(Var(0)), None)),
+    ],
+    ids=["check", "infer", "wf_type", "norm_type", "norm", "glued_eval"],
+)
+def test_what_is_no_term_is_a_model_error(call):
+    with pytest.raises(sconekit.ModelError, match="None is not interpretable"):
+        call()
+
+
 def test_check_in_a_context_whose_entry_is_no_type():
     with pytest.raises(IllTypedError, match="cannot quote type value VTrue"):
         check(Context((TrueTm(),)), Var(0), Bool())

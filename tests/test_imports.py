@@ -1,6 +1,7 @@
 """Every library and test module uses each name it imports; every library module
 imports from each module once, imports no private name of another and reads
-nothing from the process environment; only models knows the environment's cells."""
+nothing from the process environment; only models knows the environment's cells,
+and only syntax reads a context's definitions."""
 
 import ast
 from pathlib import Path
@@ -151,3 +152,24 @@ def test_gate_sees_an_environment_cell():
 def test_only_models_knows_the_environment_cells(path):
     """Other modules build environments with models.env_of and Env's methods, and read them by len and iteration."""
     assert env_cell_uses(ast.parse(path.read_text())) == [], path.name
+
+
+def values_reads(tree: ast.Module) -> list[int]:
+    """The lines where tree reads a values attribute other than to call it, as ctx.values but not d.values()."""
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "values" and id(node) not in called
+    )
+
+
+def test_gate_sees_a_definitions_read():
+    tree = ast.parse("for k, v in d.values():\n    pass\nvs = ctx.values\nn = len(ctx.values[1:])\n")
+    assert values_reads(tree) == [3, 4]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "syntax.py"], ids=lambda path: path.name)
+def test_only_syntax_reads_a_contexts_definitions(path):
+    """Other modules read a context's definitions through Context.bindings and Context.unfold."""
+    assert values_reads(ast.parse(path.read_text())) == [], path.name

@@ -100,11 +100,35 @@ def test_unbound_variable_is_a_scope_error():
         oracle_norm(Context(), Bool(), Var(5))
     with pytest.raises(ScopeError):
         oracle_norm_type(Context((U(0),)), El(Var(1)))
+    with pytest.raises(ScopeError):  # unfolding [x : Bool := true] lowers no variable
+        oracle_norm(Context().define(Bool(), TrueTm()), Bool(), Var(1))
 
 
 def test_oracle_conv():
     assert oracle_conv(Context(), Bool(), App(NEG, TrueTm()), FalseTm())
     assert not oracle_conv(Context(), Bool(), TrueTm(), FalseTm())
+
+
+def test_norm_agrees_with_the_oracle_in_contexts_with_definitions():
+    """NbE evaluates a definition and the oracle unfolds it; both answer alike."""
+    ctx = Context().define(Bool(), TrueTm())
+    assert typecheck.conv(ctx, Bool(), Var(0), TrueTm()) and oracle_conv(ctx, Bool(), Var(0), TrueTm())
+    contexts = 0
+    for seed in range(200):
+        ctx = generated.term(seed)[0]
+        small = GenBudget(seed=seed, max_term_size=6)
+        try:
+            ty = oracle.gen_type(small, ctx)
+            ctx = ctx.define(ty, gen_term(small, ctx, ty))
+            ctx = ctx.extend(oracle.gen_type(small, ctx))
+            ty = oracle.gen_type(small, ctx)
+            t = gen_term(small, ctx, ty)
+        except NoInhabitantError:
+            continue
+        typecheck.check(ctx, t, ty)
+        assert nbe.embed(nbe.norm(ctx, ty, t)) == oracle_norm(ctx, ty, t), (seed, ctx, ty, t)
+        contexts += 1
+    assert contexts >= 150
 
 
 def _stuck_elims(n=3000):

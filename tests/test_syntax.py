@@ -3,13 +3,16 @@
 from sconekit.syntax import (
     App,
     Bool,
+    Code,
     Context,
+    El,
     Lam,
     Pi,
     Renaming,
     ScopeError,
     Substitution,
     TrueTm,
+    U,
     Var,
     rename,
     shift,
@@ -82,6 +85,24 @@ def test_context_lookup_weakens():
 def test_lookup_out_of_range():
     with pytest.raises(ScopeError):
         Context().lookup(0)
+
+
+def test_context_unfolds_its_definitions():
+    # [f : Bool -> Bool := fun x => x, y : Bool := f true, z : Bool] |- f y z
+    ident = Lam(Var(0))
+    ctx = Context().define(Pi(Bool(), Bool()), ident).define(Bool(), App(Var(0), TrueTm())).extend(Bool())
+    assert list(ctx.bindings()) == [(Pi(Bool(), Bool()), ident), (Bool(), App(Var(0), TrueTm())), (Bool(), None)]
+    done, t = ctx.unfold(App(App(Var(2), Var(1)), Var(0)))
+    assert t == App(App(ident, App(ident, TrueTm())), Var(0))
+    assert done == Context(ctx.entries, (ident, App(ident, TrueTm())))  # every entry stays
+    # [A : U0 := code Bool, x : El A] |- El A: the entry's type unfolds too
+    code = Code(Bool())
+    ctx = Context().define(U(0), code).extend(El(Var(0)))
+    assert ctx.unfold(El(Var(1))) == (Context((U(0), El(code)), (code,)), El(code))
+    plain, t = Context((Bool(),)), Var(5)
+    assert plain.unfold(t) == (plain, t) and plain.unfold(t)[0] is plain
+    with pytest.raises(ScopeError):
+        Context((Bool(),), (None, TrueTm())).bindings()
 
 
 def test_subst_commutes_with_formers_on_generated_terms():
