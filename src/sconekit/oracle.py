@@ -519,7 +519,8 @@ class _Gen:
         raise NoInhabitantError("cannot generate a normal form at {}", ty)
 
     def nf_type(self, ctx: Context, level: int, depth: int) -> nbe.Nf:
-        options = ["bool", "bool"]
+        """A normal type of exactly the given level: universes are not cumulative."""
+        options = ["bool", "bool"] if level == 0 else []
         if depth >= 2:
             options.append("pi")
         if level >= 1:

@@ -48,8 +48,8 @@ class UnsupportedFragmentError(ParametricityError):
 
 
 def _index(env: tuple | None, ix: int, depth: int) -> int:
-    """Var ix's original as an index at output depth, level l as depth-1-l like nbe.quote;
-    env chains (level, outer) cells, and ambient Var i sits at level -2i-2."""
+    """Var ix's original as an index at output depth, level l as depth-1-l like nbe.quote; env chains
+    (level, outer) cells, and ambient Var i's original, doubled index 2i+1, sits at nbe's level -1-(2i+1)."""
     while ix and env is not None:
         env, ix = env[1], ix - 1
     return depth - 1 - (-2 * ix - 2 if env is None else env[0])

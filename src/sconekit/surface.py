@@ -9,6 +9,7 @@ print-then-parse a syntactic fixpoint.
 
 from __future__ import annotations
 
+import re
 from typing import Optional
 
 from .models import show
@@ -54,47 +55,29 @@ class Token:
 
 KEYWORDS = {"fun", "elim", "at", "Bool", "true", "false", "El", "code", "Lift", "lift", "unlift"}
 
+# One alternative per token shape, tried in order; `\Z` matches once, empty,
+# at the end of the input.  Blanks and comments yield no token, and a word
+# must start with a letter or `_`.
+_TOKEN = re.compile(
+    r"(?P<newline>\n)|(?P<blank>[ \t\r]+)|(?P<comment>--[^\n]*)|(?P<symbol>->|=>|[():|])"
+    r"|(?P<word>[\w']+)|(?P<other>.)|(?P<eof>\Z)"
+)
+
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line, col, i = line + 1, 1, i + 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        two = text[i : i + 2]
-        if two in ("->", "=>"):
-            tokens.append(Token("symbol", two, line, col))
-            i += 2
-            col += 2
-            continue
-        if c in "():|":
-            tokens.append(Token("symbol", c, line, col))
-            i += 1
-            col += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            word = text[i:j]
-            kind = "keyword" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        raise SurfaceError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        lexeme, col = m.group(), m.start() - line_start + 1
+        match m.lastgroup:
+            case "newline":
+                line, line_start = line + 1, m.end()
+            case "symbol" | "eof":
+                tokens.append(Token(m.lastgroup, lexeme, line, col))
+            case "word" if lexeme[0].isalpha() or lexeme[0] == "_":
+                tokens.append(Token("keyword" if lexeme in KEYWORDS else "ident", lexeme, line, col))
+            case "word" | "other":
+                raise SurfaceError(f"unexpected character {lexeme[0]!r}", line, col)
     return tokens
 
 

@@ -156,3 +156,16 @@ def test_out_of_range_variable_is_a_scope_error():
 def test_glued_application_of_a_non_function_is_a_canonicity_error(fn):
     with pytest.raises(CanonicityError, match="no function witness"):
         glued_eval((), App(fn, TrueTm()))
+
+
+@pytest.mark.parametrize(
+    "term, message",
+    [
+        (El(TrueTm()), "code did not evaluate to a glued type"),
+        (UnliftTm(TrueTm()), "unlift of a term carrying no lifted witness"),
+    ],
+    ids=["El", "unlift"],
+)
+def test_glued_eval_of_a_wrong_shaped_value_is_a_canonicity_error(term, message):
+    with pytest.raises(CanonicityError, match=message):
+        glued_eval((), term)

@@ -14,6 +14,7 @@ from sconekit.syntax import (
     ElimBool,
     FalseTm,
     Lam,
+    Lift,
     LiftTm,
     Pi,
     ScopeError,
@@ -28,6 +29,7 @@ from sconekit.oracle import (
     FuelExhaustedError,
     GenBudget,
     NoInhabitantError,
+    OracleError,
     gen_nf,
     gen_term,
     oracle_conv,
@@ -233,11 +235,37 @@ def test_gen_nf_embeddings_typecheck():
     assert produced >= 60
 
 
+def test_gen_nf_at_a_universe_above_zero_is_well_typed():
+    """A code at U1 is of a level-1 type: no universe holds Bool at U1."""
+    for seed in range(200):
+        budget = GenBudget(max_term_size=5, max_context_length=3, seed=seed)
+        ctx = oracle.gen_context(budget)
+        for ty in (U(1), Lift(U(0))):
+            nf = gen_nf(budget, ctx, ty)
+            typecheck.check(ctx, nbe.embed(nf), ty)
+            assert nbe.norm(ctx, ty, nbe.embed(nf)) == nf
+
+
 def test_uninhabited_type_fails():
     # El of a neutral code with nothing of that type in scope
     ctx = Context((U(0),))
     with pytest.raises(NoInhabitantError):
         gen_term(GenBudget(seed=0), ctx, El(Var(0)))
+
+
+@pytest.mark.parametrize(
+    "ty",
+    [U(0), Lift(Bool()), El(Var(0)), Pi(El(Var(0)), Lift(Bool())), Pi(U(0), El(Var(0)))],
+    ids=["U0", "Lift Bool", "El A", "El A -> Lift Bool", "(B : U0) -> El B"],
+)
+def test_oracle_reconstructs_the_universe_of_a_code(ty):
+    ctx = Context((U(0),))  # [A : U0]
+    assert oracle.oracle_infer(ctx, Code(ty)) == typecheck.infer(ctx, Code(ty))
+
+
+def test_oracle_level_of_a_term_is_an_oracle_error():
+    with pytest.raises(OracleError, match="is not a type"):
+        oracle.oracle_level(Context(), TrueTm())
 
 
 def test_oracle_infer_matches_kernel_up_to_conversion():

@@ -58,6 +58,31 @@ def test_syntax_error_has_position():
         parse("fun =>")
 
 
+def _resolve(text):
+    return resolve_term(parse(text))
+
+
+@pytest.mark.parametrize(
+    "read, text, message",
+    [
+        (parse, "€", "1:1: unexpected character '€'"),
+        (parse, "²", "1:1: unexpected character '²'"),
+        (parse, "fun x x", "1:7: expected '=>', found 'x'"),
+        (parse, "true true)", "1:10: trailing input starting at ')'"),
+        (parse_file_contents, "fun x => x : U0 : U0", "1:17: trailing input starting at ':'"),
+        (parse, "elim true at => Bool | true | false", "1:14: expected an identifier, found '=>'"),
+        (_resolve, "Bool", "1:1: type former in term position; wrap it with `code`"),
+        (parse, "(true -- c\n", "2:1: expected ')', found 'end of input'"),
+        # the end of input after a trailing comment sits past the comment
+        (parse, "(true -- c", "1:11: expected ')', found 'end of input'"),
+    ],
+)
+def test_surface_errors_report_their_position(read, text, message):
+    with pytest.raises(SurfaceError) as e:
+        read(text)
+    assert str(e.value) == message
+
+
 def test_comments_and_whitespace():
     text = "-- negation\nfun b =>  -- binder\n  elim b at _ => Bool | false | true\n"
     assert isinstance(resolve_term(parse(text)), Lam)

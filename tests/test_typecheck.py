@@ -108,6 +108,12 @@ def test_inferred_lift_past_the_maximum_level_is_rejected():
         infer(Context(), LiftTm(LiftTm(LiftTm(TrueTm()))))
 
 
+@pytest.mark.parametrize("ty", [Lift(U(1)), Lift(Lift(Lift(Bool())))], ids=["Lift U1", "Lift^3 Bool"])
+def test_lifted_type_past_the_maximum_level_is_ill_formed(ty):
+    with pytest.raises(LevelError, match="lifted type exceeds maximum level 2"):
+        wf_type(Context(), ty)
+
+
 def test_elim_bool_motive_instantiation():
     # motive selecting different types per branch
     motive = ElimBool(U(0), Code(Bool()), Code(Pi(Bool(), Bool())), Var(0))
