@@ -3,7 +3,9 @@
 Closed terms are interpreted as pairs of a syntactic term and a semantic
 witness.  At Bool the witness records which canonical form the term is
 convertible to; at Pi it is a meta-function on glued values; at a
-universe it is a glued type, whose witness describes the predicate.
+universe it is a glued type.  Gluing is along the global-section functor
+into Set, so a glued type's witness is a standard-model type (models.SBool,
+SU, SPi, SLift) whose parts are glued values.
 
 Glued evaluation is the model GLUED, run by the generic evaluator of
 models.py.  That evaluator is higher-order: binders are meta-functions,
@@ -21,7 +23,7 @@ import enum
 from typing import Any, Callable
 
 from . import typecheck
-from .models import Model, eval_term, show
+from .models import Model, SBool, SLift, SPi, SU, eval_term, show
 from .syntax import (
     App,
     Bool,
@@ -40,7 +42,6 @@ from .syntax import (
     UnliftTm,
     Var,
     depth_guarded,
-    node,
 )
 
 
@@ -82,27 +83,6 @@ class GluedValue:
         return f"GluedValue(term={self.term!r}, sem={self.sem!r})"
 
 
-@node
-class CBool:
-    pass
-
-
-@node
-class CU:
-    level: int
-
-
-@node(eq=False)
-class CPi:
-    dom: GluedValue
-    cod: Callable[[GluedValue], GluedValue]
-
-
-@node(eq=False)
-class CLift:
-    inner: GluedValue
-
-
 def _fresh(level: int) -> GluedValue:
     """The variable bound at binder depth `level`, for reading a body back."""
     return GluedValue(lambda d: Var(d - level - 1), NO_WITNESS)
@@ -113,7 +93,7 @@ class GluedModel(Model):
     with witnesses over the closed terms."""
 
     def pi(self, dom, cod):
-        return GluedValue(lambda d: Pi(dom.read(d), cod(_fresh(d)).read(d + 1)), CPi(dom, cod))
+        return GluedValue(lambda d: Pi(dom.read(d), cod(_fresh(d)).read(d + 1)), SPi(dom, cod))
 
     def lam(self, body):
         return GluedValue(lambda d: Lam(body(_fresh(d)).read(d + 1)), body)
@@ -152,10 +132,10 @@ class GluedModel(Model):
         return GluedValue(read, sem)
 
     def u(self, level):
-        return GluedValue(U(level), CU(level))
+        return GluedValue(U(level), SU(level))
 
     def el(self, code):
-        if code.sem is not NO_WITNESS and not isinstance(code.sem, (CBool, CU, CPi, CLift)):
+        if code.sem is not NO_WITNESS and not isinstance(code.sem, (SBool, SU, SPi, SLift)):
             raise CanonicityError("code did not evaluate to a glued type")
         return GluedValue(lambda d: El(code.read(d)), code.sem)
 
@@ -163,7 +143,7 @@ class GluedModel(Model):
         return GluedValue(lambda d: Code(ty.read(d)), ty.sem)
 
     def lift(self, ty):
-        return GluedValue(lambda d: Lift(ty.read(d)), CLift(ty))
+        return GluedValue(lambda d: Lift(ty.read(d)), SLift(ty))
 
     def lift_tm(self, tm):
         return GluedValue(lambda d: LiftTm(tm.read(d)), tm)
@@ -177,7 +157,7 @@ class GluedModel(Model):
         return GluedValue(lambda d: UnliftTm(tm.read(d)), sem)
 
 
-_BOOL = GluedValue(Bool(), CBool())
+_BOOL = GluedValue(Bool(), SBool())
 _TRUE = GluedValue(TrueTm(), BoolWitness.IS_TRUE)
 _FALSE = GluedValue(FalseTm(), BoolWitness.IS_FALSE)
 GLUED = GluedModel()

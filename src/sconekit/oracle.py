@@ -40,6 +40,7 @@ from .syntax import (
     subst_with,
     term_size,
 )
+from .typecheck import DEFAULT_MAX_LEVEL
 
 DEFAULT_FUEL = 10_000
 T = TypeVar("T")
@@ -197,11 +198,11 @@ def oracle_infer(ctx: Context, t: Term) -> Term:
         case ElimBool(m, _, _, s):
             return subst1(m, s)
         case LiftTm(x):
-            return Lift(oracle_infer(ctx, x))
+            return _within_universes(ctx, Lift(oracle_infer(ctx, x)))
         case UnliftTm(x):
             return _whnf_as(oracle_infer(ctx, x), Lift, "unlift of a term of non-Lift type").ty
         case Code(a):
-            return U(oracle_level(ctx, a))
+            return _within_universes(ctx, U(oracle_level(ctx, a)))
     raise OracleError("cannot reconstruct a type for {}", t)
 
 
@@ -214,18 +215,32 @@ def _whnf_as(ty: Term, former: type, message: str) -> Term:
 
 
 def oracle_level(ctx: Context, ty: Term) -> int:
+    """The universe level of the type ty, at most the checker's DEFAULT_MAX_LEVEL."""
     match whnf(ty):
         case Bool():
             return 0
         case Pi(d, c):
             return max(oracle_level(ctx, d), oracle_level(ctx.extend(d), c))
         case U(level):
-            return level + 1
+            return _bounded(level + 1, ty)
         case El(c):
             return _whnf_as(oracle_infer(ctx, c), U, "El of a non-code of type").level
         case Lift(a):
-            return oracle_level(ctx, a) + 1
+            return _bounded(oracle_level(ctx, a) + 1, ty)
     raise OracleError("{} is not a type", ty)
+
+
+def _bounded(level: int, ty: Term) -> int:
+    """level, the level of the type ty, unless it exceeds the checker's bound."""
+    if level > DEFAULT_MAX_LEVEL:
+        raise OracleError(f"{{}} exceeds the maximum universe level {DEFAULT_MAX_LEVEL}", ty)
+    return level
+
+
+def _within_universes(ctx: Context, ty: Term) -> Term:
+    """The reconstructed type ty, if its level is within the checker's bound."""
+    oracle_level(ctx, ty)
+    return ty
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,11 @@ class Token:
     col: int
 
 
-KEYWORDS = {"fun", "elim", "at", "Bool", "true", "false", "El", "code", "Lift", "lift", "unlift"}
+# The core former each constant and each prefix keyword names.
+_CONSTANT = {"Bool": Bool, "true": TrueTm, "false": FalseTm}
+_PREFIX = {"El": El, "code": Code, "Lift": Lift, "lift": LiftTm, "unlift": UnliftTm}
+_FORMER = _CONSTANT | _PREFIX
+KEYWORDS = {"fun", "elim", "at", *_FORMER}
 
 # One alternative per token shape, tried in order; `\Z` matches once, empty,
 # at the end of the input.  Blanks and comments yield no token, and a word
@@ -116,18 +120,8 @@ class SPi(SurfaceTerm):
 
 
 @node
-class SBool(SurfaceTerm):
-    pass
-
-
-@node
-class STrue(SurfaceTerm):
-    pass
-
-
-@node
-class SFalse(SurfaceTerm):
-    pass
+class SConst(SurfaceTerm):
+    keyword: str  # a key of _CONSTANT
 
 
 @node
@@ -145,41 +139,19 @@ class SUniv(SurfaceTerm):
 
 
 @node
-class SEl(SurfaceTerm):
-    code: SurfaceTerm
-
-
-@node
-class SCode(SurfaceTerm):
-    ty: SurfaceTerm
-
-
-@node
-class SLift(SurfaceTerm):
-    ty: SurfaceTerm
-
-
-@node
-class SLiftTm(SurfaceTerm):
-    tm: SurfaceTerm
-
-
-@node
-class SUnlift(SurfaceTerm):
-    tm: SurfaceTerm
+class SPrefix(SurfaceTerm):
+    keyword: str  # a key of _PREFIX
+    operand: SurfaceTerm
 
 
 # ---------------------------------------------------------------------------
 # Parser (recursive descent)
 
 # The deepest nesting parse accepts.  Each parenthesis, binder body, elim,
-# arrow codomain, prefix form (El, code, Lift, lift, unlift) and argument of
-# an application spine opens one level; deeper input raises SurfaceError
+# arrow codomain, prefix form (a keyword of _PREFIX) and argument of an
+# application spine opens one level; deeper input raises SurfaceError
 # instead of exhausting the stack here or in a later pass.
 MAX_NESTING = 200
-
-# The surface node each prefix keyword builds.
-_PREFIX = {"El": SEl, "code": SCode, "Lift": SLift, "lift": SLiftTm, "unlift": SUnlift}
 
 
 class _Parser:
@@ -283,7 +255,7 @@ class _Parser:
             self._enter(tok)
             inner = self.app()
             self.depth -= 1
-            return _PREFIX[tok.text](tok.line, tok.col, inner)
+            return SPrefix(tok.line, tok.col, tok.text, inner)
         t, depth = self.atom(), self.depth
         while self._starts_atom():
             self._enter(self.peek())
@@ -295,7 +267,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "ident":
             return True
-        if tok.kind == "keyword" and tok.text in ("Bool", "true", "false"):
+        if tok.kind == "keyword" and tok.text in _CONSTANT:
             return True
         return tok.text == "(" and tok.kind == "symbol"
 
@@ -306,15 +278,9 @@ class _Parser:
             inner = self.term()
             self.expect(")")
             return inner
-        if self.at("Bool"):
+        if tok.kind == "keyword" and tok.text in _CONSTANT:
             self.next()
-            return SBool(tok.line, tok.col)
-        if self.at("true"):
-            self.next()
-            return STrue(tok.line, tok.col)
-        if self.at("false"):
-            self.next()
-            return SFalse(tok.line, tok.col)
+            return SConst(tok.line, tok.col, tok.text)
         if tok.kind == "ident":
             self.next()
             if tok.text.startswith("U") and tok.text[1:].isdecimal():
@@ -345,21 +311,21 @@ def parse_file_contents(text: str) -> tuple[SurfaceTerm, Optional[SurfaceTerm]]:
 # ---------------------------------------------------------------------------
 # Scope resolution
 
+# The formers that build a type, and the prefix formers whose operand is one.
+_TYPE_FORMERS = (Bool, El, Lift)
+_TYPE_OPERAND = (Code, Lift)
+
 
 def resolve_type(s: SurfaceTerm, scope: tuple[str, ...] = ()) -> Term:
     """Resolve in type position: code-valued expressions get El inserted."""
     match s:
-        case SBool():
-            return Bool()
         case SUniv(_, _, level):
             return U(level)
         case SPi(_, _, name, dom, cod):
             binder = name if name is not None else "_"
             return Pi(resolve_type(dom, scope), resolve_type(cod, (binder,) + scope))
-        case SEl(_, _, code):
-            return El(resolve_term(code, scope))
-        case SLift(_, _, ty):
-            return Lift(resolve_type(ty, scope))
+        case SConst(_, _, keyword) | SPrefix(_, _, keyword, _) if _FORMER[keyword] in _TYPE_FORMERS:
+            return _resolve_keyword(s, scope)
         case _:
             return El(resolve_term(s, scope))
 
@@ -374,10 +340,6 @@ def resolve_term(s: SurfaceTerm, scope: tuple[str, ...] = ()) -> Term:
             return Lam(resolve_term(body, (name,) + scope))
         case SApp(_, _, fn, arg):
             return App(resolve_term(fn, scope), resolve_term(arg, scope))
-        case STrue():
-            return TrueTm()
-        case SFalse():
-            return FalseTm()
         case SElim(_, _, scrut, mname, motive, tcase, fcase):
             return ElimBool(
                 resolve_type(motive, (mname,) + scope),
@@ -385,15 +347,19 @@ def resolve_term(s: SurfaceTerm, scope: tuple[str, ...] = ()) -> Term:
                 resolve_term(fcase, scope),
                 resolve_term(scrut, scope),
             )
-        case SCode(_, _, ty):
-            return Code(resolve_type(ty, scope))
-        case SLiftTm(_, _, tm):
-            return LiftTm(resolve_term(tm, scope))
-        case SUnlift(_, _, tm):
-            return UnliftTm(resolve_term(tm, scope))
-        case SPi(line, col, _, _, _) | SBool(line, col) | SUniv(line, col, _) | SEl(line, col, _) | SLift(line, col, _):
+        case SConst(_, _, keyword) | SPrefix(_, _, keyword, _) if _FORMER[keyword] not in _TYPE_FORMERS:
+            return _resolve_keyword(s, scope)
+        case SPi(line, col, _, _, _) | SUniv(line, col, _) | SConst(line, col, _) | SPrefix(line, col, _, _):
             raise SurfaceError("type former in term position; wrap it with `code`", line, col)
     raise SurfaceError(f"unresolvable node {s!r}", s.line, s.col)
+
+
+def _resolve_keyword(s: SConst | SPrefix, scope: tuple[str, ...]) -> Term:
+    """The core former that s's keyword names, applied to its resolved operand."""
+    former = _FORMER[s.keyword]
+    if isinstance(s, SConst):
+        return former()
+    return former((resolve_type if former in _TYPE_OPERAND else resolve_term)(s.operand, scope))
 
 
 # ---------------------------------------------------------------------------
@@ -411,10 +377,10 @@ _PREC_ARROW = 1
 _PREC_LOW = 0
 
 
-# The keyword that prints each prefix form.  Prefix forms parse only where a
-# whole application may appear, so they take parentheses in function and
-# argument position.
-_PREFIX_KEYWORD = {El: "El", Code: "code", Lift: "Lift", LiftTm: "lift", UnliftTm: "unlift"}
+# The keyword that prints each constant and prefix former.  Prefix forms
+# parse only where a whole application may appear, so they take parentheses
+# in function and argument position.
+_KEYWORD = {former: keyword for keyword, former in _FORMER.items()}
 
 
 def _name(depth: int) -> str:
@@ -428,12 +394,8 @@ def _pp(t: Term, depth: int, prec: int, used: dict[int, bool]) -> str:
         case Var(ix):
             used[depth - 1 - ix] = True
             return _name(depth - 1 - ix)
-        case Bool():
-            return "Bool"
-        case TrueTm():
-            return "true"
-        case FalseTm():
-            return "false"
+        case Bool() | TrueTm() | FalseTm():
+            return _KEYWORD[t.__class__]
         case U(level):
             return f"U{level}"
         case Lam(b):
@@ -458,7 +420,7 @@ def _pp(t: Term, depth: int, prec: int, used: dict[int, bool]) -> str:
             )
             return _paren(s, prec > _PREC_LOW)
         case El(x) | Code(x) | Lift(x) | LiftTm(x) | UnliftTm(x):
-            return _paren(f"{_PREFIX_KEYWORD[t.__class__]} {_pp(x, depth, _PREC_APP, used)}", prec >= _PREC_APP)
+            return _paren(f"{_KEYWORD[t.__class__]} {_pp(x, depth, _PREC_APP, used)}", prec >= _PREC_APP)
     raise TypeError(f"unknown term {show(t)}")
 
 

@@ -1,5 +1,6 @@
 """The generic evaluator and the set-valued standard model."""
 
+import pickle
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from sconekit.syntax import (
     Bool,
     ElimBool,
     FalseTm,
+    Lam,
     Pi,
     ScopeError,
     TrueTm,
@@ -44,6 +46,35 @@ def test_variable_out_of_range_names_the_environment_length(ix):
     with pytest.raises(ScopeError) as info:
         eval_term(nbe.NBE, (nbe.VBool(),) * 3, Var(ix))
     assert str(info.value) == f"variable {ix} out of range in environment of length 3"
+
+
+def _closure(*env):
+    """The NbE value of `fun y => x`, where x is the outermost value of env, or y if env is empty."""
+    return nbe.eval_term(env, Lam(Var(len(env))))
+
+
+def test_a_pickled_closure_keeps_its_environment():
+    # the copy's environment still ends in the empty environment, so its
+    # length and every variable read walk it as they walk the original's
+    value = _closure(nbe.VTrue(), nbe.VFalse())
+    copy = pickle.loads(pickle.dumps(value))
+    assert len(copy.clo.env) == 2 and copy.clo.env == value.clo.env
+    assert nbe.apply_val(copy, nbe.VBool()) == nbe.VTrue()
+    assert nbe.apply_val(pickle.loads(pickle.dumps(_closure())), nbe.VFalse()) == nbe.VFalse()
+
+
+def test_closures_over_equal_environments_are_equal():
+    a, b = _closure(nbe.VTrue(), nbe.VFalse()), _closure(nbe.VTrue(), nbe.VFalse())
+    assert a.clo.env is not b.clo.env
+    assert a == b and hash(a) == hash(b)
+    assert a != _closure(nbe.VFalse(), nbe.VFalse())
+
+
+def test_a_closure_shows_its_environment_outermost_first():
+    assert repr(_closure(nbe.VTrue(), nbe.VFalse())) == (
+        "VLam(clo=Clo(model=NbeModel(), env=Env(VTrue(), VFalse()), body=Var(ix=2)))"
+    )
+    assert repr(_closure()) == "VLam(clo=Clo(model=NbeModel(), env=Env(), body=Var(ix=0)))"
 
 
 def test_elim_bool_computes():

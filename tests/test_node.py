@@ -11,7 +11,7 @@ from sconekit import canonicity, models, nbe, parametricity, surface, syntax
 
 MODULES = (syntax, nbe, surface, canonicity, models, parametricity)
 # the classes built with node(eq=False), which compare by identity
-IDENTITY = {canonicity.CPi, canonicity.CLift, models.SPi, models.SLift}
+IDENTITY = {models.SPi, models.SLift}
 
 NODE_CLASSES = [
     cls
@@ -38,7 +38,7 @@ def _args(cls, tag):
 
 
 def test_every_node_class_is_found():
-    assert len(NODE_CLASSES) == 78
+    assert len(NODE_CLASSES) == 68
     assert IDENTITY <= set(NODE_CLASSES)
 
 

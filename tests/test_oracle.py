@@ -268,6 +268,23 @@ def test_oracle_level_of_a_term_is_an_oracle_error():
         oracle.oracle_level(Context(), TrueTm())
 
 
+@pytest.mark.parametrize(
+    "oracle_read, kernel_read, t",
+    [
+        (oracle.oracle_infer, typecheck.infer, Code(Lift(U(0)))),
+        (oracle.oracle_level, typecheck.wf_type, U(2)),
+        (oracle.oracle_level, typecheck.wf_type, Lift(U(1))),
+        (oracle.oracle_infer, typecheck.infer, LiftTm(Code(U(0)))),
+    ],
+    ids=["code Lift U0", "U2", "Lift U1", "lift code U0"],
+)
+def test_oracle_stops_at_the_checkers_universe_bound(oracle_read, kernel_read, t):
+    with pytest.raises(typecheck.LevelError):
+        kernel_read(Context(), t)
+    with pytest.raises(OracleError, match=f"exceeds the maximum universe level {typecheck.DEFAULT_MAX_LEVEL}"):
+        oracle_read(Context(), t)
+
+
 def test_oracle_infer_matches_kernel_up_to_conversion():
     agreed = 0
     for seed in range(80):

@@ -72,6 +72,14 @@ def _resolve(text):
         (parse_file_contents, "fun x => x : U0 : U0", "1:17: trailing input starting at ':'"),
         (parse, "elim true at => Bool | true | false", "1:14: expected an identifier, found '=>'"),
         (_resolve, "Bool", "1:1: type former in term position; wrap it with `code`"),
+        (_resolve, "El x", "1:1: type former in term position; wrap it with `code`"),
+        (_resolve, "Lift Bool", "1:1: type former in term position; wrap it with `code`"),
+        (_resolve, "U0", "1:1: type former in term position; wrap it with `code`"),
+        (_resolve, "Bool -> Bool", "1:1: type former in term position; wrap it with `code`"),
+        (_resolve, "(A : U0) -> A", "1:1: type former in term position; wrap it with `code`"),
+        (_resolve, "lift (Lift Bool)", "1:7: type former in term position; wrap it with `code`"),
+        (_resolve, "unlift U1", "1:8: type former in term position; wrap it with `code`"),
+        (_resolve, "true Bool", "1:6: type former in term position; wrap it with `code`"),
         (parse, "(true -- c\n", "2:1: expected ')', found 'end of input'"),
         # the end of input after a trailing comment sits past the comment
         (parse, "(true -- c", "1:11: expected ')', found 'end of input'"),
