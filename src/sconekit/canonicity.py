@@ -92,6 +92,8 @@ class GluedModel(Model):
     """Sconing as a model: first projections read at a binder depth, paired
     with witnesses over the closed terms."""
 
+    singleton = "GLUED"
+
     def pi(self, dom, cod):
         return GluedValue(lambda d: Pi(dom.read(d), cod(_fresh(d)).read(d + 1)), SPi(dom, cod))
 

@@ -82,8 +82,14 @@ def show(x: object, view: Callable[[Any], Any] | None = None) -> str:
 class Model(ABC):
     """Operations of the theory with binders as meta-functions."""
 
+    # the name of the one instance its module binds, which a pickle refers to
+    singleton: str
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
+
+    def __reduce__(self) -> str:
+        return self.singleton
 
     @abstractmethod
     def pi(self, dom: Any, cod: Callable[[Any], Any]) -> Any: ...
@@ -325,6 +331,8 @@ class _TableFn:
 class StandardModel(Model):
     """Types are sets: Bool is the two-element set, Pi is the full function
     space, U holds type descriptors, Lift and El are identities."""
+
+    singleton = "STANDARD"
 
     def pi(self, dom, cod):
         return SPi(dom, cod)

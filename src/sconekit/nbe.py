@@ -353,6 +353,8 @@ _BOOL, _TRUE, _FALSE = VBool(), VTrue(), VFalse()
 class NbeModel(Model):
     """The semantic domain as a model: a stuck eliminator becomes a neutral."""
 
+    singleton = "NBE"
+
     pi = staticmethod(VPi)
     lam = staticmethod(VLam)
     app = staticmethod(apply_val)

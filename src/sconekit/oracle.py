@@ -34,6 +34,7 @@ from .syntax import (
     UnliftTm,
     Var,
     depth_guarded,
+    mentions,
     rename_with,
     shift,
     subst1,
@@ -43,6 +44,7 @@ from .syntax import (
 from .typecheck import DEFAULT_MAX_LEVEL
 
 DEFAULT_FUEL = 10_000
+_ATTEMPT_STEPS = 400  # the work budget of one generator attempt
 T = TypeVar("T")
 
 
@@ -614,7 +616,7 @@ def _attempts(budget: GenBudget, draw: Callable[[_Gen], T]) -> T:
     gen = _Gen(budget)
     last: Optional[Exception] = None
     for _ in range(40):
-        gen.steps = 400
+        gen.steps = _ATTEMPT_STEPS
         try:
             return draw(gen)
         except NoInhabitantError as e:
@@ -628,8 +630,65 @@ def gen_term(budget: GenBudget, ctx: Context, ty: Term) -> Term:
 
 
 def gen_nf(budget: GenBudget, ctx: Context, ty: Term) -> nbe.Nf:
-    """A well-typed normal form; ty must be a normal type term."""
+    """A well-typed normal form; ty must be a normal type term.  Where no
+    attempt can succeed for want of a neutral, gives up without searching."""
+    target = _unreachable_neutral(ctx, ty)
+    if target is not None:
+        raise NoInhabitantError("no neutral of type {} found", target)
     return _attempts(budget, lambda gen: gen.nf(ctx, ty, budget.max_term_size))
+
+
+def _unreachable_neutral(ctx: Context, ty: Term) -> Optional[Term]:
+    """The El type that ends the Pi/Lift descent of the normal type ty, when
+    _Gen.nf would give up on it in every attempt; None when it might not.
+
+    nf descends ty to that El type T in the extended context, then needs a
+    neutral of T: a spine out of a variable.  ne catches every failure
+    inside, so if no variable's type reaches T, every attempt ends in ne's
+    "no neutral of type T found", unless the descent alone spends the
+    attempt's budget.
+    """
+    spent = 2  # the budget nf at T and ne spend before ne tries a variable
+    while not isinstance(ty, El):
+        match ty:
+            case Pi(dom, cod):
+                ctx, ty = ctx.extend(dom), cod
+            case Lift(inner):
+                ty = inner
+            case _:
+                return None
+        spent += 1
+    if spent >= _ATTEMPT_STEPS:
+        return None
+    for i in range(len(ctx)):
+        try:
+            key = oracle_norm_type(ctx, ctx.lookup(i))
+        except OracleError:
+            continue  # ne skips such a variable
+        if _spine_reaches(ctx, key, ty):
+            return None
+    return ty
+
+
+def _spine_reaches(ctx: Context, ty: Term, target: Term) -> bool:
+    """Whether _Gen._spine might reach the type target from a head of the
+    normal type ty.  A codomain that depends on the argument counts as
+    reaching; eliminating a Bool into target needs a neutral of target already.
+    """
+    while ty != target:
+        match ty:
+            case Pi(_, cod):
+                if mentions(cod, 0):
+                    return True
+                try:
+                    ty = oracle_norm_type(ctx, shift(cod, -1))
+                except OracleError:
+                    return False
+            case Lift(inner):
+                ty = inner
+            case _:
+                return False
+    return True
 
 
 def gen_context(budget: GenBudget) -> Context:

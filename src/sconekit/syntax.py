@@ -20,8 +20,8 @@ class DepthError(RecursionError):
     """A term is nested too deeply for the recursion limit.
 
     The public entry points of typecheck, norm, norm_type, embed, canon,
-    surface.pretty, term_size, is_closed, shift, subst1, subst, rename and the
-    oracle's reduce, oracle_norm, oracle_norm_type and oracle_conv raise it
+    surface.pretty, term_size, is_closed, mentions, shift, subst1, subst, rename
+    and the oracle's reduce, oracle_norm, oracle_norm_type and oracle_conv raise it
     instead of a bare RecursionError; sys.setrecursionlimit raises the limit.
     """
 
@@ -259,6 +259,12 @@ def _any_var(t: Term, depth: int, test: Callable[[int, int], bool]) -> bool:
 def is_closed(t: Term) -> bool:
     """Whether t has no free variable."""
     return not _any_var(t, 0, lambda depth, ix: ix >= depth)
+
+
+@depth_guarded
+def mentions(t: Term, ix: int) -> bool:
+    """Whether the free variable Var ix occurs in t."""
+    return _any_var(t, 0, lambda depth, i: i == ix + depth)
 
 
 def _map_vars(t: Term, depth: int, on_var: Callable[[int, Term], Term]) -> Term:

@@ -28,6 +28,7 @@ from sconekit.syntax import (
     U,
     Var,
     is_closed,
+    mentions,
     rename,
     shift,
     subst,
@@ -233,6 +234,7 @@ ENTRY_POINTS = {
     "translate": lambda: translate(*pi_chain(250)),  # the subject checks; the translation overflows
     "term_size": lambda: term_size(LAM_CHAIN),
     "is_closed": lambda: is_closed(LAM_CHAIN),
+    "mentions": lambda: mentions(LAM_CHAIN, 0),
     "shift": lambda: shift(LAM_CHAIN, 1),
     "subst1": lambda: subst1(LAM_CHAIN, TrueTm()),
     "subst": lambda: subst(Substitution(BOOL_CTX, BOOL_CTX, (Var(0),)), LAM_CHAIN),

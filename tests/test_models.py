@@ -18,7 +18,7 @@ from sconekit.syntax import (
     shift,
     subst,
 )
-from sconekit import nbe, oracle, typecheck
+from sconekit import canonicity, nbe, oracle, typecheck
 from sconekit.models import (
     SBool,
     SPi,
@@ -61,6 +61,14 @@ def test_a_pickled_closure_keeps_its_environment():
     assert len(copy.clo.env) == 2 and copy.clo.env == value.clo.env
     assert nbe.apply_val(copy, nbe.VBool()) == nbe.VTrue()
     assert nbe.apply_val(pickle.loads(pickle.dumps(_closure())), nbe.VFalse()) == nbe.VFalse()
+
+
+def test_a_pickled_value_is_equal_to_its_original():
+    """A closure holds its model, which pickles as its module's instance."""
+    value = _closure(nbe.VTrue(), nbe.VFalse())
+    assert pickle.loads(pickle.dumps(value)) == value
+    for model in (STANDARD, nbe.NBE, canonicity.GLUED):
+        assert pickle.loads(pickle.dumps(model)) is model
 
 
 def test_closures_over_equal_environments_are_equal():

@@ -25,6 +25,7 @@ from sconekit.syntax import (
     term_size,
 )
 from sconekit import nbe, oracle, typecheck
+from sconekit.models import show
 from sconekit.oracle import (
     FuelExhaustedError,
     GenBudget,
@@ -244,6 +245,64 @@ def test_gen_nf_at_a_universe_above_zero_is_well_typed():
             nf = gen_nf(budget, ctx, ty)
             typecheck.check(ctx, nbe.embed(nf), ty)
             assert nbe.norm(ctx, ty, nbe.embed(nf)) == nf
+
+
+@pytest.mark.parametrize(
+    "entries, ty",
+    [
+        ((U(0), Pi(U(0), El(Var(0)))), El(Var(1))),
+        ((U(0), Lift(El(Var(0)))), El(Var(1))),
+        ((U(0), Pi(Bool(), El(Var(1)))), El(Var(1))),
+    ],
+    ids=[
+        "[A : U0, f : (B : U0) -> El B] |- El A",
+        "[A : U0, x : Lift (El A)] |- El A",
+        "[A : U0, g : Bool -> El A] |- El A",
+    ],
+)
+def test_gen_nf_answers_where_a_variables_spine_reaches_the_target(entries, ty):
+    ctx = Context(entries)
+    nf = gen_nf(GenBudget(seed=0), ctx, ty)
+    typecheck.check(ctx, nbe.embed(nf), ty)
+
+
+@pytest.mark.parametrize(
+    "entries, ty, message",
+    [
+        ((U(0), Bool()), El(Var(1)), "no neutral of type El(code=Var(ix=1)) found"),
+        ((U(0),), Pi(U(0), El(Var(0))), "no neutral of type El(code=Var(ix=0)) found"),
+        ((U(0), Bool()), Pi(Bool(), Lift(El(Var(2)))), "no neutral of type El(code=Var(ix=2)) found"),
+    ],
+    ids=[
+        "[A : U0, b : Bool] |- El A",
+        "[A : U0] |- (B : U0) -> El B",
+        "[A : U0, b : Bool] |- Bool -> Lift (El A)",
+    ],
+)
+def test_gen_nf_gives_up_without_searching_where_no_spine_reaches_the_target(entries, ty, message):
+    with counting("oracle._Gen.ne") as calls, pytest.raises(NoInhabitantError) as info:
+        gen_nf(GenBudget(seed=0), Context(entries), ty)
+    assert str(info.value) == message
+    assert calls["oracle._Gen.ne"] == 0
+
+
+def test_gen_nf_gives_up_before_searching_only_where_the_search_gives_up():
+    """Each budget gen_nf prunes gives up in all 40 attempts of the search, with the same message."""
+    pruned = 0
+    for seed in range(200):
+        budget = GenBudget(max_term_size=3, seed=seed)
+        ctx = oracle.gen_context(budget)
+        ty = oracle_norm_type(ctx, oracle.gen_type(budget, ctx))
+        target = oracle._unreachable_neutral(ctx, ty)
+        if target is None:
+            continue
+        with pytest.raises(NoInhabitantError) as searched:
+            oracle._attempts(budget, lambda gen: gen.nf(ctx, ty, budget.max_term_size))
+        with pytest.raises(NoInhabitantError) as pruned_early:
+            gen_nf(budget, ctx, ty)
+        assert str(pruned_early.value) == str(searched.value) == f"no neutral of type {show(target)} found", seed
+        pruned += 1
+    assert pruned >= 10
 
 
 def test_uninhabited_type_fails():

@@ -14,6 +14,7 @@ from sconekit.syntax import (
     TrueTm,
     U,
     Var,
+    mentions,
     rename,
     shift,
     subst,
@@ -31,6 +32,12 @@ import generated
 def test_shift_ignores_bound():
     t = Lam(App(Var(0), Var(1)))
     assert shift(t, 2) == Lam(App(Var(0), Var(3)))
+
+
+def test_mentions_counts_binders():
+    t = Lam(App(Var(0), Var(2)))  # fun y => y x1 under [x1, x0]
+    assert mentions(t, 1) and not mentions(t, 0) and not mentions(t, 2)
+    assert not mentions(Bool(), 0)
 
 
 def test_subst1_under_binder():
