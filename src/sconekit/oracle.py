@@ -349,13 +349,69 @@ class GenBudget:
             raise ValueError("all generator bounds must be >= 1")
 
 
+class _Scope:
+    """One context of a generator call, with the answers the search asks of it.
+
+    A call's scopes form a tree from the context it was given, and extend
+    is memoized, so equal contexts are one scope and a lookup hashes only
+    the type asked about.  Nothing here draws from the generator's rng.
+    """
+
+    __slots__ = ("ctx", "_table", "_whnf_keys", "_keys", "_children")
+
+    def __init__(self, ctx: Context):
+        self.ctx = ctx
+        self._table: Optional[tuple[tuple[Optional[Term], Optional[Term]], ...]] = None
+        self._whnf_keys: dict[Term, tuple[Term, Term]] = {}
+        self._keys: dict[Term, Term] = {}
+        self._children: dict[Term, _Scope] = {}
+
+    def extend(self, dom: Term) -> _Scope:
+        child = self._children.get(dom)
+        if child is None:
+            child = self._children[dom] = _Scope(self.ctx.extend(dom))
+        return child
+
+    def key(self, ty: Term) -> Term:
+        """The normal form of the type ty, which types compare by."""
+        key = self._keys.get(ty)
+        if key is None:
+            key = self._keys[ty] = oracle_norm_type(self.ctx, ty)
+        return key
+
+    def whnf_and_key(self, ty: Term) -> tuple[Term, Term]:
+        """(whnf(ty), its key)."""
+        hit = self._whnf_keys.get(ty)
+        if hit is None:
+            ty_w = whnf(ty)
+            hit = self._whnf_keys[ty] = (ty_w, self.key(ty_w))
+        return hit
+
+    def var_table(self) -> tuple[tuple[Optional[Term], Optional[Term]], ...]:
+        """(whnf, key) of each variable's type, index order; None where it
+        raised OracleError."""
+        if self._table is None:
+            rows = []
+            for i in range(len(self.ctx)):
+                ty = self.ctx.lookup(i)
+                try:
+                    ty_w = whnf(ty)
+                except OracleError:
+                    ty_w = None
+                try:
+                    key = self.key(ty)
+                except OracleError:
+                    key = None
+                rows.append((ty_w, key))
+            self._table = tuple(rows)
+        return self._table
+
+
 class _Gen:
     def __init__(self, budget: GenBudget):
         self.budget = budget
         self.rng = random.Random(budget.seed)
         self.steps = 0
-        self._key_cache: dict = {}
-        self._var_cache: dict = {}
 
     def _spend(self) -> None:
         """Per-attempt work budget; keeps backtracking from blowing up."""
@@ -363,36 +419,10 @@ class _Gen:
         if self.steps <= 0:
             raise NoInhabitantError("generation work budget exhausted")
 
-    def key(self, ctx: Context, ty: Term) -> Term:
-        k = (ctx.entries, ty)
-        hit = self._key_cache.get(k)
-        if hit is None:
-            hit = self._key_cache[k] = oracle_norm_type(ctx, ty)
-        return hit
-
-    def var_table(self, ctx: Context) -> tuple[tuple[Optional[Term], Optional[Term]], ...]:
-        """(whnf, key) of each variable's type, index order; None where it
-        raised OracleError.  Pure in ctx, so filling a row draws nothing."""
-        table = self._var_cache.get(ctx.entries)
-        if table is None:
-            rows = []
-            for i in range(len(ctx)):
-                ty = ctx.lookup(i)
-                try:
-                    ty_w = whnf(ty)
-                except OracleError:
-                    ty_w = None
-                try:
-                    key = self.key(ctx, ty)
-                except OracleError:
-                    key = None
-                rows.append((ty_w, key))
-            table = self._var_cache[ctx.entries] = tuple(rows)
-        return table
-
     # -- types ---------------------------------------------------------
 
-    def type_(self, ctx: Context, size: int, max_level: int = 1) -> Term:
+    def type_(self, scope: _Scope, size: int, max_level: int = 1) -> Term:
+        """A type of level at most max_level."""
         options = ["bool", "bool", "bool"]
         if size >= 3:
             options += ["pi", "pi"]
@@ -400,103 +430,138 @@ class _Gen:
             options.append("lift")
         if max_level >= 1:
             options.append("u")
-        u_vars = [i for i, (_, k) in enumerate(self.var_table(ctx)) if isinstance(k, U)]
+        u_vars = [i for i, (_, k) in enumerate(scope.var_table()) if isinstance(k, U) and k.level <= max_level]
         if u_vars:
             options += ["el", "el"]
         match self.rng.choice(options):
             case "bool":
                 return Bool()
             case "pi":
-                dom = self.type_(ctx, size // 2, max_level)
-                cod = self.type_(ctx.extend(dom), size // 2, max_level)
+                dom = self.type_(scope, size // 2, max_level)
+                cod = self.type_(scope.extend(dom), size // 2, max_level)
                 return Pi(dom, cod)
             case "lift":
                 if max_level < 1:
                     return Bool()
-                return Lift(self.type_(ctx, size - 1, max_level - 1))
+                return Lift(self.type_(scope, size - 1, max_level - 1))
             case "u":
                 return U(self.rng.randrange(max_level))
             case "el":
                 return El(Var(self.rng.choice(u_vars)))
         raise AssertionError
 
+    def type_at(self, scope: _Scope, size: int, level: int) -> Term:
+        """A type of exactly the given level: universes are not cumulative."""
+        if level == 0:
+            return self.type_(scope, size, 0)
+        options = ["u", "lift"]
+        if size >= 3:
+            options += ["pi", "pi"]
+        u_vars = [i for i, (_, k) in enumerate(scope.var_table()) if isinstance(k, U) and k.level == level]
+        if u_vars:
+            options += ["el", "el"]
+        match self.rng.choice(options):
+            case "u":
+                return U(level - 1)
+            case "lift":
+                return Lift(self.type_at(scope, size - 1, level - 1))
+            case "pi":
+                dom = self.type_at(scope, size // 2, level)
+                return Pi(dom, self.type_at(scope.extend(dom), size // 2, level))
+            case "el":
+                return El(Var(self.rng.choice(u_vars)))
+        raise AssertionError
+
     def context(self) -> Context:
-        ctx = Context()
+        scope = _Scope(Context())
         for _ in range(self.rng.randint(0, self.budget.max_context_length)):
-            ctx = ctx.extend(self.type_(ctx, 4))
-        return ctx
+            scope = scope.extend(self.type_(scope, 4))
+        return scope.ctx
 
     # -- terms ---------------------------------------------------------
 
-    def term(self, ctx: Context, ty: Term, size: int, depth: int = 0) -> Term:
+    def term(self, scope: _Scope, ty: Term, size: int, depth: int = 0) -> Term:
         self._spend()
         if depth > 12:
             raise NoInhabitantError("generation recursion too deep")
-        ty_w = whnf(ty)
-        key = self.key(ctx, ty_w)
-        thunks = []
-
-        def add(weight, fn):
-            thunks.extend([fn] * weight)
-
-        for i, (_, k) in enumerate(self.var_table(ctx)):
+        ty_w, key = scope.whnf_and_key(ty)
+        # one code per way to build the term, repeated by its weight: a
+        # variable's index, or the name of a former or wrapper
+        options: list = []
+        for i, (_, k) in enumerate(scope.var_table()):
             if k == key:
-                add(2, lambda i=i: Var(i))
+                options += (i, i)
         match ty_w:
             case Bool():
-                add(2, lambda: TrueTm())
-                add(2, lambda: FalseTm())
-            case Pi(dom, cod):
-                add(6, lambda: Lam(self.term(ctx.extend(dom), cod, size - 1, depth + 1)))
-            case U(level):
-                add(4, lambda: Code(self.type_(ctx, max(1, size - 1), level)))
-            case Lift(inner):
-                add(4, lambda: LiftTm(self.term(ctx, inner, size - 1, depth + 1)))
-        # neutral-producing and redex-producing wrappers
-        add(1, lambda: self._app_of_var(ctx, key, size, depth))
-        add(1, lambda: self._unlift_of_var(ctx, key))
+                options += ("true", "true", "false", "false")
+            case Pi():
+                options += ("lam",) * 6
+            case U():
+                options += ("code",) * 4
+            case Lift():
+                options += ("lift",) * 4
+        options += ("app", "unlift")
         if size >= 4:
-            add(5, lambda: self._redex(ctx, ty_w, size, depth))
-            add(3, lambda: self._elim_wrapper(ctx, ty_w, size, depth))
-        self.rng.shuffle(thunks)
-        for thunk in thunks[:4]:
+            options += ("redex",) * 5 + ("elim",) * 3
+        self.rng.shuffle(options)
+        for option in options[:4]:
             self._spend()
             try:
-                return thunk()
+                match option:
+                    case int():
+                        return Var(option)
+                    case "true":
+                        return TrueTm()
+                    case "false":
+                        return FalseTm()
+                    case "lam":
+                        return Lam(self.term(scope.extend(ty_w.dom), ty_w.cod, size - 1, depth + 1))
+                    case "code":
+                        return Code(self.type_at(scope, max(1, size - 1), ty_w.level))
+                    case "lift":
+                        return LiftTm(self.term(scope, ty_w.ty, size - 1, depth + 1))
+                    case "app":
+                        return self._app_of_var(scope, key, size, depth)
+                    case "unlift":
+                        return self._unlift_of_var(scope, key)
+                    case "redex":
+                        return self._redex(scope, ty_w, size, depth)
+                    case "elim":
+                        return self._elim_wrapper(scope, ty_w, size, depth)
             except (NoInhabitantError, OracleError):
                 continue
         raise NoInhabitantError("no term of type {} found", ty_w)
 
-    def _redex(self, ctx: Context, ty: Term, size: int, depth: int) -> Term:
+    def _redex(self, scope: _Scope, ty: Term, size: int, depth: int) -> Term:
         dom = self.rng.choice([Bool(), Pi(Bool(), Bool())])
-        arg = self.term(ctx, dom, max(1, size // 3), depth + 1)
+        arg = self.term(scope, dom, max(1, size // 3), depth + 1)
         # the checker types redexes only when the argument is inferable
-        oracle_infer(ctx, arg)
-        body = self.term(ctx.extend(dom), shift(ty, 1), max(1, size - term_size(arg) - 3), depth + 1)
+        oracle_infer(scope.ctx, arg)
+        body = self.term(scope.extend(dom), shift(ty, 1), max(1, size - term_size(arg) - 3), depth + 1)
         return App(Lam(body), arg)
 
-    def _elim_wrapper(self, ctx: Context, ty: Term, size: int, depth: int) -> Term:
-        scrut = self.term(ctx, Bool(), max(1, size // 3), depth + 1)
-        tcase = self.term(ctx, ty, max(1, size // 3), depth + 1)
-        fcase = self.term(ctx, ty, max(1, size // 3), depth + 1)
+    def _elim_wrapper(self, scope: _Scope, ty: Term, size: int, depth: int) -> Term:
+        scrut = self.term(scope, Bool(), max(1, size // 3), depth + 1)
+        tcase = self.term(scope, ty, max(1, size // 3), depth + 1)
+        fcase = self.term(scope, ty, max(1, size // 3), depth + 1)
         return ElimBool(shift(ty, 1), tcase, fcase, scrut)
 
-    def _app_of_var(self, ctx: Context, key: Term, size: int, depth: int) -> Term:
-        candidates = [(i, w) for i, (w, _) in enumerate(self.var_table(ctx)) if isinstance(w, Pi)]
+    def _app_of_var(self, scope: _Scope, key: Term, size: int, depth: int) -> Term:
+        candidates = [(i, w) for i, (w, _) in enumerate(scope.var_table()) if isinstance(w, Pi)]
         self.rng.shuffle(candidates)
         for i, vty in candidates:
-            arg = self.term(ctx, vty.dom, max(1, size // 2), depth + 1)
+            arg = self.term(scope, vty.dom, max(1, size // 2), depth + 1)
             try:
-                if self.key(ctx, subst1(vty.cod, arg)) == key:
+                if scope.key(subst1(vty.cod, arg)) == key:
                     return App(Var(i), arg)
             except OracleError:
                 continue
         raise NoInhabitantError("no applicable variable")
 
-    def _unlift_of_var(self, ctx: Context, key: Term) -> Term:
-        for i, (vty, _) in enumerate(self.var_table(ctx)):
+    def _unlift_of_var(self, scope: _Scope, key: Term) -> Term:
+        for i, (vty, _) in enumerate(scope.var_table()):
             try:
-                if isinstance(vty, Lift) and self.key(ctx, vty.ty) == key:
+                if isinstance(vty, Lift) and scope.key(vty.ty) == key:
                     return UnliftTm(Var(i))
             except OracleError:
                 continue
@@ -505,14 +570,17 @@ class _Gen:
     # -- normal forms ----------------------------------------------------
 
     def nf(self, ctx: Context, ty: Term, depth: int) -> nbe.Nf:
-        """A well-typed normal form at the (normal) type ty."""
+        """A well-typed normal form in ctx at the (normal) type ty."""
+        return self.nf_at(_Scope(ctx), ty, depth)
+
+    def nf_at(self, scope: _Scope, ty: Term, depth: int) -> nbe.Nf:
         self._spend()
         match ty:
             case Pi(dom, cod):
-                return nbe.LamNf(self.nf(ctx.extend(dom), cod, depth - 1))
+                return nbe.LamNf(self.nf_at(scope.extend(dom), cod, depth - 1))
             case Bool():
                 opts = ["true", "false"]
-                if depth >= 1 and len(ctx) > 0:
+                if depth >= 1 and len(scope.ctx) > 0:
                     opts += ["ne", "ne"]
                 match self.rng.choice(opts):
                     case "true":
@@ -521,21 +589,21 @@ class _Gen:
                         return nbe.FalseNf()
                     case "ne":
                         try:
-                            return nbe.NeAtBool(self.ne(ctx, ty, depth))
+                            return nbe.NeAtBool(self.ne(scope, ty, depth))
                         except NoInhabitantError:
                             return self.rng.choice([nbe.TrueNf(), nbe.FalseNf()])
             case U(level):
-                body = self.nf_type(ctx, level, depth - 1)
+                body = self.nf_type(scope, level, depth - 1)
                 if isinstance(body, nbe.ElNf):
                     return nbe.NeAtU(body.ne)
                 return nbe.CodeNf(body)
             case Lift(inner):
-                return nbe.LiftTmNf(self.nf(ctx, inner, depth - 1))
+                return nbe.LiftTmNf(self.nf_at(scope, inner, depth - 1))
             case El(_):
-                return nbe.NeAtEl(self.ne(ctx, ty, depth))
+                return nbe.NeAtEl(self.ne(scope, ty, depth))
         raise NoInhabitantError("cannot generate a normal form at {}", ty)
 
-    def nf_type(self, ctx: Context, level: int, depth: int) -> nbe.Nf:
+    def nf_type(self, scope: _Scope, level: int, depth: int) -> nbe.Nf:
         """A normal type of exactly the given level: universes are not cumulative."""
         options = ["bool", "bool"] if level == 0 else []
         if depth >= 2:
@@ -543,9 +611,9 @@ class _Gen:
         if level >= 1:
             options.append("lift")
         el_cands = []
-        for i, (_, k) in enumerate(self.var_table(ctx)):
+        for i, (_, k) in enumerate(scope.var_table()):
             if k is None:  # nf_type does not skip such a variable: raise its error again
-                self.key(ctx, ctx.lookup(i))
+                scope.key(scope.ctx.lookup(i))
             if isinstance(k, U) and k.level == level:
                 el_cands.append(i)
         if el_cands:
@@ -554,28 +622,28 @@ class _Gen:
             case "bool":
                 return nbe.BoolNf()
             case "pi":
-                dom = self.nf_type(ctx, level, depth - 1)
-                cod = self.nf_type(ctx.extend(nbe.embed(dom)), level, depth - 1)
+                dom = self.nf_type(scope, level, depth - 1)
+                cod = self.nf_type(scope.extend(nbe.embed(dom)), level, depth - 1)
                 return nbe.PiNf(dom, cod)
             case "lift":
-                return nbe.LiftNf(self.nf_type(ctx, level - 1, depth - 1))
+                return nbe.LiftNf(self.nf_type(scope, level - 1, depth - 1))
             case "el":
                 return nbe.ElNf(nbe.VarNe(self.rng.choice(el_cands)))
         raise AssertionError
 
-    def ne(self, ctx: Context, target: Term, depth: int) -> nbe.Ne:
+    def ne(self, scope: _Scope, target: Term, depth: int) -> nbe.Ne:
         """A neutral of (normal) type target, by spining out from a variable."""
         self._spend()
-        table = self.var_table(ctx)
+        table = scope.var_table()
         for _ in range(4):
-            order = list(range(len(ctx)))
+            order = list(range(len(table)))
             self.rng.shuffle(order)
             for i in order:
                 key = table[i][1]
                 if key is None:
                     continue
                 try:
-                    result = self._spine(ctx, nbe.VarNe(i), key, target, depth)
+                    result = self._spine(scope, nbe.VarNe(i), key, target, depth)
                 except (NoInhabitantError, OracleError):
                     continue
                 if result is not None:
@@ -583,7 +651,7 @@ class _Gen:
         raise NoInhabitantError("no neutral of type {} found", target)
 
     def _spine(
-        self, ctx: Context, ne: nbe.Ne, ty: Term, target: Term, depth: int
+        self, scope: _Scope, ne: nbe.Ne, ty: Term, target: Term, depth: int
     ) -> Optional[nbe.Ne]:
         for _ in range(6):
             self._spend()
@@ -593,17 +661,17 @@ class _Gen:
                 return None
             match ty:
                 case Pi(dom, cod):
-                    arg = self.nf(ctx, dom, depth - 1)
+                    arg = self.nf_at(scope, dom, depth - 1)
                     ne = nbe.AppNe(ne, arg)
-                    ty = self.key(ctx, subst1(cod, nbe.embed(arg)))
+                    ty = scope.key(subst1(cod, nbe.embed(arg)))
                 case Lift(inner):
                     ne = nbe.UnliftNe(ne)
                     ty = inner
                 case Bool() if target.__class__ is El and target.code.__class__ is Var:
                     # eliminate into the target, El (Var i), via a constant motive
                     motive = nbe.ElNf(nbe.VarNe(target.code.ix + 1))
-                    tcase = self.nf(ctx, target, depth - 1)
-                    fcase = self.nf(ctx, target, depth - 1)
+                    tcase = self.nf_at(scope, target, depth - 1)
+                    fcase = self.nf_at(scope, target, depth - 1)
                     return nbe.ElimBoolNe(motive, tcase, fcase, ne)
                 case _:
                     return None
@@ -624,18 +692,22 @@ def _attempts(budget: GenBudget, draw: Callable[[_Gen], T]) -> T:
     raise NoInhabitantError(str(last))
 
 
+@depth_guarded
 def gen_term(budget: GenBudget, ctx: Context, ty: Term) -> Term:
     """Deterministic from budget.seed; the result typechecks at ty."""
-    return _attempts(budget, lambda gen: gen.term(ctx, ty, budget.max_term_size))
+    root = _Scope(ctx)
+    return _attempts(budget, lambda gen: gen.term(root, ty, budget.max_term_size))
 
 
+@depth_guarded
 def gen_nf(budget: GenBudget, ctx: Context, ty: Term) -> nbe.Nf:
     """A well-typed normal form; ty must be a normal type term.  Where no
     attempt can succeed for want of a neutral, gives up without searching."""
     target = _unreachable_neutral(ctx, ty)
     if target is not None:
         raise NoInhabitantError("no neutral of type {} found", target)
-    return _attempts(budget, lambda gen: gen.nf(ctx, ty, budget.max_term_size))
+    root = _Scope(ctx)
+    return _attempts(budget, lambda gen: gen.nf_at(root, ty, budget.max_term_size))
 
 
 def _unreachable_neutral(ctx: Context, ty: Term) -> Optional[Term]:
@@ -695,6 +767,7 @@ def gen_context(budget: GenBudget) -> Context:
     return _Gen(budget).context()
 
 
+@depth_guarded
 def gen_closing_substitution(budget: GenBudget, ctx: Context) -> Substitution:
     """A substitution from the empty context into ctx, one generated closed
     term per entry."""
@@ -705,6 +778,7 @@ def gen_closing_substitution(budget: GenBudget, ctx: Context) -> Substitution:
     return Substitution(Context(), ctx, tuple(reversed(chosen)))
 
 
+@depth_guarded
 def gen_renaming(budget: GenBudget, ctx: Context) -> Renaming:
     """A type-preserving renaming into ctx: its source interleaves fresh
     closed entries among the entries of ctx."""
@@ -730,5 +804,6 @@ def gen_renaming(budget: GenBudget, ctx: Context) -> Renaming:
     return r
 
 
+@depth_guarded
 def gen_type(budget: GenBudget, ctx: Context) -> Term:
-    return _Gen(budget).type_(ctx, budget.max_term_size)
+    return _Gen(budget).type_(_Scope(ctx), budget.max_term_size)

@@ -21,8 +21,10 @@ class DepthError(RecursionError):
 
     The public entry points of typecheck, norm, norm_type, embed, canon,
     surface.pretty, term_size, is_closed, mentions, shift, subst1, subst, rename
-    and the oracle's reduce, oracle_norm, oracle_norm_type and oracle_conv raise it
-    instead of a bare RecursionError; sys.setrecursionlimit raises the limit.
+    and the oracle's reduce, oracle_norm, oracle_norm_type, oracle_conv and
+    generators (gen_type, gen_term, gen_nf, gen_closing_substitution and
+    gen_renaming) raise it instead of a bare RecursionError;
+    sys.setrecursionlimit raises the limit.
     """
 
     def __init__(self) -> None:

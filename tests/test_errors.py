@@ -20,6 +20,7 @@ from sconekit.syntax import (
     El,
     ElimBool,
     Lam,
+    Lift,
     Pi,
     Renaming,
     ScopeError,
@@ -212,6 +213,7 @@ DEEP = _nested_identity(TrueTm())
 _exp_term, _exp_ty = parse_file_contents(EXPONENTIAL)
 EXP_TERM, EXP_TY = resolve_term(_exp_term), resolve_type(_exp_ty)
 BOOL_CTX, LAM_CHAIN = Context((Bool(),)), _nested(Lam, Var(0))
+DEEP_PI_CTX = Context((_deep_pi(),))
 ENTRY_POINTS = {
     "check": lambda: check(Context(), DEEP, Bool()),
     "conv": lambda: conv(Context(), Bool(), DEEP, TrueTm()),
@@ -239,6 +241,13 @@ ENTRY_POINTS = {
     "subst1": lambda: subst1(LAM_CHAIN, TrueTm()),
     "subst": lambda: subst(Substitution(BOOL_CTX, BOOL_CTX, (Var(0),)), LAM_CHAIN),
     "rename": lambda: rename(Renaming(BOOL_CTX, BOOL_CTX, (0,)), LAM_CHAIN),
+    "gen_type": lambda: oracle.gen_type(oracle.GenBudget(), DEEP_PI_CTX),
+    "gen_term": lambda: oracle.gen_term(oracle.GenBudget(), Context(), _deep_pi()),
+    "gen_term at a deep Lift": lambda: oracle.gen_term(oracle.GenBudget(), Context(), _nested(Lift, Bool())),
+    "gen_term in a deep context": lambda: oracle.gen_term(oracle.GenBudget(), DEEP_PI_CTX, Bool()),
+    "gen_nf": lambda: oracle.gen_nf(oracle.GenBudget(), DEEP_PI_CTX, Bool()),
+    "gen_closing_substitution": lambda: oracle.gen_closing_substitution(oracle.GenBudget(), DEEP_PI_CTX),
+    "gen_renaming": lambda: oracle.gen_renaming(oracle.GenBudget(), DEEP_PI_CTX),
 }
 
 

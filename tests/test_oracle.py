@@ -80,6 +80,24 @@ def test_fuel_exhaustion_is_loud():
         oracle.beta_normalize(omega, fuel=50)
 
 
+def test_beta_normalize_answers_reduces_result_at_the_fuel_the_term_needs():
+    """beta_normalize keeps no trace, but answers exactly where reduce does: at
+    as many steps as reduce records, and not one fewer."""
+    redexes = 0
+    for seed in range(120):
+        _, _, t = generated.term(seed)
+        if t is None:
+            continue
+        trace = reduce(t)
+        need = len(trace.steps)
+        assert oracle.beta_normalize(t) == oracle.beta_normalize(t, fuel=need) == trace.result
+        if need:
+            with pytest.raises(FuelExhaustedError):
+                oracle.beta_normalize(t, fuel=need - 1)
+            redexes += 1
+    assert redexes >= 20
+
+
 def test_whnf_fuel_is_shared_with_nested_heads():
     # 20 nested elims over 100 identity redexes: 120 contractions in all
     t = TrueTm()
@@ -219,6 +237,36 @@ def test_generator_looks_up_each_variable_once_per_context(seed):
     assert 0 < calls["syntax.Context.lookup"] <= 1_000
 
 
+@pytest.mark.parametrize("seed, term_calls", [(68, 6_638), (369, 6_100), (81, 4_344)])
+def test_generator_finds_each_types_head_once_per_context(seed, term_calls):
+    """The same slow searches take the same steps, and a step looks its type's
+    head up in its context's scope: whnf runs once per context and type, not
+    once per step."""
+    budget = GenBudget(seed=seed)
+    ctx = oracle.gen_context(budget)
+    ty = oracle.gen_type(budget, ctx)
+    with counting("oracle._Gen.term", "oracle.whnf") as calls, pytest.raises(NoInhabitantError):
+        gen_term(budget, ctx, ty)
+    assert calls["oracle._Gen.term"] == term_calls
+    assert calls["oracle.whnf"] <= 100
+
+
+def test_generator_calls_share_nothing():
+    """A seed's outcomes are the same alone, run again, and between other
+    seeds' calls: no generator state outlives a gen_* call."""
+
+    def outcomes(seed):
+        nf_budget = GenBudget(max_term_size=5, max_context_length=3, seed=seed)
+        return _gen_outcome(GenBudget(seed=seed), gen_term), _gen_outcome(nf_budget, gen_nf)
+
+    seeds = (68, 3, 81, 11)
+    alone = {seed: outcomes(seed) for seed in seeds}
+    assert outcomes(68) == alone[68]
+    for seed in reversed(seeds):
+        assert outcomes(seed) == alone[seed]
+        assert outcomes(68) == alone[68]
+
+
 def test_gen_nf_at_arrow_type_is_eta_long():
     nf = gen_nf(GenBudget(seed=1), Context(), Pi(Bool(), Bool()))
     assert isinstance(nf, nbe.LamNf)
@@ -245,6 +293,16 @@ def test_gen_nf_at_a_universe_above_zero_is_well_typed():
             nf = gen_nf(budget, ctx, ty)
             typecheck.check(ctx, nbe.embed(nf), ty)
             assert nbe.norm(ctx, ty, nbe.embed(nf)) == nf
+
+
+def test_gen_term_at_a_universe_above_zero_is_well_typed():
+    """A code at U1 is of a level-1 type, in the empty context and in
+    generated ones: no universe holds Bool at U1."""
+    for seed in range(200):
+        budget = GenBudget(max_term_size=5, max_context_length=3, seed=seed)
+        for ctx in (Context(), oracle.gen_context(budget)):
+            for ty in (U(1), Lift(U(0)), Pi(Bool(), U(1))):
+                typecheck.check(ctx, gen_term(budget, ctx, ty), ty)
 
 
 @pytest.mark.parametrize(
