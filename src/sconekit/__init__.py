@@ -6,6 +6,9 @@ decision procedure by glued evaluation, a syntactic parametricity
 translation, set-valued models, and an independent reduction oracle
 with deterministic term generators.  The oracle is not re-exported
 here, so importing the CLI does not load it; import sconekit.oracle.
+Nor does importing the CLI load dataclasses or json: a node class builds
+its dataclass view on first read (see syntax.node), and only --json
+output imports json.
 """
 
 from .syntax import (
@@ -38,6 +41,8 @@ from .syntax import (
 from .models import ModelError
 from .nbe import IllTypedError, Ne, Nf, embed, norm, norm_type
 from .typecheck import (
+    LevelError,
+    NotInferableError,
     TypeCheckError,
     TypeMismatchError,
     check,
@@ -49,6 +54,7 @@ from .typecheck import (
 from .canonicity import BoolWitness, CanonicityError, canon, glued_eval
 from .parametricity import (
     ParamResult,
+    ParametricityError,
     UnsupportedFragmentError,
     param_family,
     param_term,

@@ -11,7 +11,6 @@ fragment, canonicity failure), 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional
 
@@ -131,7 +130,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {DepthError()}", file=sys.stderr)
         return 1
     fields.update(command=args.command, input=" ".join(paths))
-    print(json.dumps(fields, sort_keys=True) if args.json else fields["result"])
+    if args.json:
+        import json  # only here, so a plain call does not load it
+
+        print(json.dumps(fields, sort_keys=True))
+    else:
+        print(fields["result"])
     return 0
 
 

@@ -6,7 +6,6 @@ separates them.  All structures are immutable.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, FrozenInstanceError, dataclass
 from functools import cache, wraps
 from itertools import zip_longest
 from typing import Callable, Iterator, Sequence
@@ -52,12 +51,21 @@ class _Node:
     """The base of every node class: instances are frozen."""
 
     __slots__ = ()
+    _node_fields = ()  # (name, annotation, default or _NO_DEFAULT), inherited fields first
 
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({shown})"
 
     def __getstate__(self):
         return [getattr(self, name) for name in self.__match_args__]
@@ -67,15 +75,50 @@ class _Node:
             object.__setattr__(self, name, value)
 
 
+_NO_DEFAULT = object()
+
+
+class _DataclassView:
+    """A node class's __dataclass_fields__ or __dataclass_params__, made on first read.
+
+    The first read of either runs dataclass() on a stand-in class that has
+    only the node class's fields, and stores the stand-in's two attributes
+    on the node class in place of both views.
+    """
+
+    __slots__ = ("cls", "name")
+
+    def __init__(self, cls, name):
+        self.cls, self.name = cls, name
+
+    def __get__(self, obj, owner=None):
+        from dataclasses import dataclass
+
+        cls = self.cls
+        ns = {n: d for n, _, d in cls._node_fields if d is not _NO_DEFAULT}
+        ns.update(
+            __annotations__={n: t for n, t, _ in cls._node_fields},
+            __module__=cls.__module__,
+            __qualname__=cls.__qualname__,
+            __doc__=cls.__name__,  # without one, dataclass would call inspect.signature to write it
+        )
+        stand_in = dataclass(init=False, repr=False, eq=False)(type(cls.__name__, (), ns))
+        cls.__dataclass_fields__ = stand_in.__dataclass_fields__
+        cls.__dataclass_params__ = stand_in.__dataclass_params__
+        return cls.__dict__[self.name]
+
+
 def node(cls=None, /, *, eq=True):
     """Make cls a frozen, slotted node class, like @dataclass(frozen=True, slots=True).
 
     The fields are the annotations, inherited ones first, and a class
     attribute is a default.  The class is rebuilt with __slots__ on _Node,
-    and __init__, __repr__ and, unless eq is False, __eq__ and __hash__ over
-    the field tuple are bound to it by one exec of code compiled once per
-    field layout.  Then dataclass(init=False, repr=False, eq=False) only
-    registers the fields, so dataclasses.fields and replace work.
+    and __init__ and, unless eq is False, __eq__ and __hash__ over the field
+    tuple are bound to it by one exec of code compiled once per field
+    layout; __repr__ is _Node's, read through __match_args__.  The class's
+    __dataclass_fields__ and __dataclass_params__ are built on first read,
+    so dataclasses.fields, is_dataclass, replace and asdict work, and
+    defining a node class does not import dataclasses.
     """
     if cls is None:
         return lambda cls: _make_node(cls, eq)
@@ -84,21 +127,22 @@ def node(cls=None, /, *, eq=True):
 
 def _make_node(cls, eq):
     own = tuple(cls.__dict__.get("__annotations__", ()))
-    params = [(f.name, f.type, f.default) for f in getattr(cls, "__dataclass_fields__", {}).values()]
-    params += [(n, cls.__annotations__[n], cls.__dict__.get(n, MISSING)) for n in own]
-    if cls.__doc__ is None:  # dataclass would call inspect.signature to write this one
-        sig = ", ".join(f"{n}: {t!r}" + ("" if d is MISSING else f" = {d!r}") for n, t, d in params)
+    params = getattr(cls, "_node_fields", ())
+    params += tuple((n, cls.__annotations__[n], cls.__dict__.get(n, _NO_DEFAULT)) for n in own)
+    if cls.__doc__ is None:  # the text dataclass would give it
+        sig = ", ".join(f"{n}: {t!r}" + ("" if d is _NO_DEFAULT else f" = {d!r}") for n, t, d in params)
         cls.__doc__ = f"{cls.__name__}({sig})"
-    dataclass(init=False, repr=False, eq=False)(cls)
     names = tuple(n for n, _, _ in params)
     ns = {k: v for k, v in cls.__dict__.items() if k not in own + ("__dict__", "__weakref__")}
-    ns.update(__slots__=own, __match_args__=names, __qualname__=cls.__qualname__)
+    ns.update(__slots__=own, __match_args__=names, __qualname__=cls.__qualname__, _node_fields=params)
     new = type(cls.__name__, cls.__bases__ if cls.__bases__ != (object,) else (_Node,), ns)
-    defaults = {n: d for n, _, d in params if d is not MISSING}
+    for name in ("__dataclass_fields__", "__dataclass_params__"):
+        setattr(new, name, _DataclassView(new, name))
+    defaults = {n: d for n, _, d in params if d is not _NO_DEFAULT}
     env = {f"_set_{n}": getattr(new, n).__set__ for n in names}
     env.update((f"_default_{n}", d) for n, d in defaults.items())
     exec(_node_code(names, tuple(defaults), eq), env)
-    for name in ("__init__", "__repr__", "__eq__", "__hash__"):
+    for name in ("__init__", "__eq__", "__hash__"):
         if name in env:
             env[name].__qualname__ = f"{new.__qualname__}.{name}"
             setattr(new, name, env[name])
@@ -110,8 +154,7 @@ def _node_code(names, defaulted, eq):
     """The methods of a node class with these fields; the class's env binds _set_*/_default_*."""
     self_t = "(" + "".join(f"self.{n}," for n in names) + ")"
     other_t = "(" + "".join(f"other.{n}," for n in names) + ")"
-    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
-    src = f'def __repr__(self):\n return f"{{self.__class__.__qualname__}}({shown})"\n'
+    src = ""
     if names:  # a class without fields keeps object.__init__
         args = ", ".join(f"{n}=_default_{n}" if n in defaulted else n for n in names)
         body = "".join(f" _set_{n}(self, {n})\n" for n in names)

@@ -255,7 +255,9 @@ def test_bench_cli_case_prints_exactly(tmp_path, monkeypatch, capsys, case):
 
 
 # Counts compile events, one per module compiled from source and one per
-# generated method set, during `import sconekit.cli` in a fresh interpreter.
+# generated method set, during `import sconekit.cli` in a fresh interpreter,
+# and reports which of the modules a node class or --json would need are
+# loaded by then; the dataclass view must still work once asked for.
 _STARTUP_PROBE = """
 import sys
 compiled = 0
@@ -265,7 +267,10 @@ def hook(event, args):
         compiled += 1
 sys.addaudithook(hook)
 import sconekit.cli
-print(compiled, "sconekit.oracle" in sys.modules)
+print(compiled, "sconekit.oracle" in sys.modules, *(m in sys.modules for m in ("dataclasses", "inspect", "json")))
+import dataclasses
+from sconekit.syntax import Var
+print([f.name for f in dataclasses.fields(Var)], dataclasses.replace(Var(0), ix=1))
 """
 
 
@@ -275,6 +280,10 @@ def test_cli_import_compiles_little_and_skips_the_oracle():
     proc = subprocess.run(
         [sys.executable, "-c", _STARTUP_PROBE], env=env, capture_output=True, text=True, check=True
     )
-    compiled, oracle_loaded = proc.stdout.split()
+    loaded, view = proc.stdout.splitlines()
+    compiled, oracle_loaded, *lazy = loaded.split()
     assert int(compiled) <= 120
+    assert int(compiled) <= 45
     assert oracle_loaded == "False"
+    assert lazy == ["False", "False", "False"]  # dataclasses, inspect, json
+    assert view == "['ix'] Var(ix=1)"

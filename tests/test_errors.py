@@ -84,6 +84,24 @@ def _nary(n):
 def test_error_classes_are_exported_and_compatible():
     assert sconekit.IllTypedError is IllTypedError and issubclass(IllTypedError, TypeError)
     assert sconekit.DepthError is DepthError and issubclass(DepthError, RecursionError)
+    assert sconekit.ParametricityError is ParametricityError
+    assert issubclass(sconekit.UnsupportedFragmentError, ParametricityError)
+    assert issubclass(sconekit.NotInferableError, TypeCheckError)
+    assert issubclass(sconekit.LevelError, TypeCheckError)
+
+
+def test_package_exports():
+    # the submodules imported by __init__ are exported under their own names
+    assert sorted(sconekit.__all__) == [
+        "App", "Bool", "BoolWitness", "CanonicityError", "Code", "Context", "DepthError", "El",
+        "ElimBool", "FalseTm", "IllTypedError", "Lam", "LevelError", "Lift", "LiftTm", "ModelError",
+        "Ne", "Nf", "NotInferableError", "ParamResult", "ParametricityError", "Pi", "Renaming",
+        "ScopeError", "Substitution", "Term", "TrueTm", "TypeCheckError", "TypeMismatchError", "U",
+        "UnliftTm", "UnsupportedFragmentError", "Var", "canon", "canonicity", "check", "conv",
+        "conv_types", "embed", "glued_eval", "infer", "models", "nbe", "norm", "norm_type",
+        "param_family", "param_term", "parametricity", "rename", "shift", "subst", "subst1", "syntax",
+        "term_size", "translate", "typecheck", "wf_type",
+    ]
 
 
 # one declared entry and two definitions: the second defines no entry
