@@ -27,6 +27,7 @@ from .syntax import (
     LiftTm,
     Pi,
     Renaming,
+    ScopeError,
     Substitution,
     Term,
     TrueTm,
@@ -349,6 +350,16 @@ class GenBudget:
             raise ValueError("all generator bounds must be >= 1")
 
 
+# the codes of the formers that build a term of a type in weak head normal
+# form, by the type's class, each repeated by its weight
+_FORMER_OPTIONS = {
+    Bool: ("true", "true", "false", "false"),
+    Pi: ("lam",) * 6,
+    U: ("code",) * 4,
+    Lift: ("lift",) * 4,
+}
+
+
 class _Scope:
     """One context of a generator call, with the answers the search asks of it.
 
@@ -357,12 +368,15 @@ class _Scope:
     the type asked about.  Nothing here draws from the generator's rng.
     """
 
-    __slots__ = ("ctx", "_table", "_whnf_keys", "_keys", "_children")
+    __slots__ = ("ctx", "tables", "_table", "_pi_vars", "_keys", "_children")
 
     def __init__(self, ctx: Context):
         self.ctx = ctx
+        # option_table's answer for each type asked about; _Gen.term reads it
+        # here, so a step whose type was asked about before makes no call
+        self.tables: dict[Term, tuple[Term, Term, tuple, tuple]] = {}
         self._table: Optional[tuple[tuple[Optional[Term], Optional[Term]], ...]] = None
-        self._whnf_keys: dict[Term, tuple[Term, Term]] = {}
+        self._pi_vars: Optional[tuple[tuple[int, Pi], ...]] = None
         self._keys: dict[Term, Term] = {}
         self._children: dict[Term, _Scope] = {}
 
@@ -379,13 +393,22 @@ class _Scope:
             key = self._keys[ty] = oracle_norm_type(self.ctx, ty)
         return key
 
-    def whnf_and_key(self, ty: Term) -> tuple[Term, Term]:
-        """(whnf(ty), its key)."""
-        hit = self._whnf_keys.get(ty)
-        if hit is None:
-            ty_w = whnf(ty)
-            hit = self._whnf_keys[ty] = (ty_w, self.key(ty_w))
-        return hit
+    def option_table(self, ty: Term) -> tuple[Term, Term, tuple, tuple]:
+        """(whnf(ty), its key, and the ways to build a term of type ty below
+        size 4 and from size 4 on), stored in tables.  A way is a code
+        repeated by its weight: a variable's index, in index order, or the
+        name of a former or wrapper."""
+        ty_w = whnf(ty)
+        key = self.key(ty_w)
+        options: list = []
+        for i, (_, k) in enumerate(self.var_table()):
+            if k == key:
+                options += (i, i)
+        options += _FORMER_OPTIONS.get(ty_w.__class__, ())
+        options += ("app", "unlift")
+        small = tuple(options)
+        table = self.tables[ty] = (ty_w, key, small, small + ("redex",) * 5 + ("elim",) * 3)
+        return table
 
     def var_table(self) -> tuple[tuple[Optional[Term], Optional[Term]], ...]:
         """(whnf, key) of each variable's type, index order; None where it
@@ -405,6 +428,34 @@ class _Scope:
                 rows.append((ty_w, key))
             self._table = tuple(rows)
         return self._table
+
+    def pi_vars(self) -> tuple[tuple[int, Pi], ...]:
+        """(index, whnf of its type) of each variable of a Π type, index order."""
+        if self._pi_vars is None:
+            self._pi_vars = tuple((i, w) for i, (w, _) in enumerate(self.var_table()) if isinstance(w, Pi))
+        return self._pi_vars
+
+
+def _draws(n: int) -> tuple[tuple[int, int], ...]:
+    """(i, the bits Random._randbelow_with_getrandbits draws for an index
+    below i + 1) for each swap of a shuffle of n items, in order."""
+    return tuple((i, (i + 1).bit_length()) for i in range(n - 1, 0, -1))
+
+
+_DRAWS = tuple(_draws(n) for n in range(32))
+
+
+def _shuffle(getrandbits: Callable[[int], int], x: list) -> None:
+    """Shuffle x in place as random.Random.shuffle does, for the Random
+    whose getrandbits this is: each index is drawn the way
+    Random._randbelow_with_getrandbits draws it, so the permutation and the
+    rng's state after it are the same, without a Python call per index."""
+    n = len(x)
+    for i, k in _DRAWS[n] if n < len(_DRAWS) else _draws(n):
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
 
 
 class _Gen:
@@ -484,26 +535,12 @@ class _Gen:
         self._spend()
         if depth > 12:
             raise NoInhabitantError("generation recursion too deep")
-        ty_w, key = scope.whnf_and_key(ty)
-        # one code per way to build the term, repeated by its weight: a
-        # variable's index, or the name of a former or wrapper
-        options: list = []
-        for i, (_, k) in enumerate(scope.var_table()):
-            if k == key:
-                options += (i, i)
-        match ty_w:
-            case Bool():
-                options += ("true", "true", "false", "false")
-            case Pi():
-                options += ("lam",) * 6
-            case U():
-                options += ("code",) * 4
-            case Lift():
-                options += ("lift",) * 4
-        options += ("app", "unlift")
-        if size >= 4:
-            options += ("redex",) * 5 + ("elim",) * 3
-        self.rng.shuffle(options)
+        table = scope.tables.get(ty)
+        if table is None:
+            table = scope.option_table(ty)
+        ty_w, key, small, large = table
+        options = list(small if size < 4 else large)
+        _shuffle(self.rng.getrandbits, options)
         for option in options[:4]:
             self._spend()
             try:
@@ -547,8 +584,8 @@ class _Gen:
         return ElimBool(shift(ty, 1), tcase, fcase, scrut)
 
     def _app_of_var(self, scope: _Scope, key: Term, size: int, depth: int) -> Term:
-        candidates = [(i, w) for i, (w, _) in enumerate(scope.var_table()) if isinstance(w, Pi)]
-        self.rng.shuffle(candidates)
+        candidates = list(scope.pi_vars())
+        _shuffle(self.rng.getrandbits, candidates)
         for i, vty in candidates:
             arg = self.term(scope, vty.dom, max(1, size // 2), depth + 1)
             try:
@@ -569,11 +606,8 @@ class _Gen:
 
     # -- normal forms ----------------------------------------------------
 
-    def nf(self, ctx: Context, ty: Term, depth: int) -> nbe.Nf:
-        """A well-typed normal form in ctx at the (normal) type ty."""
-        return self.nf_at(_Scope(ctx), ty, depth)
-
     def nf_at(self, scope: _Scope, ty: Term, depth: int) -> nbe.Nf:
+        """A well-typed normal form in scope's context at the (normal) type ty."""
         self._spend()
         match ty:
             case Pi(dom, cod):
@@ -637,7 +671,7 @@ class _Gen:
         table = scope.var_table()
         for _ in range(4):
             order = list(range(len(table)))
-            self.rng.shuffle(order)
+            _shuffle(self.rng.getrandbits, order)
             for i in order:
                 key = table[i][1]
                 if key is None:
@@ -694,15 +728,20 @@ def _attempts(budget: GenBudget, draw: Callable[[_Gen], T]) -> T:
 
 @depth_guarded
 def gen_term(budget: GenBudget, ctx: Context, ty: Term) -> Term:
-    """Deterministic from budget.seed; the result typechecks at ty."""
+    """Deterministic from budget.seed; the result typechecks at ty.  A ty
+    that is no type in ctx, or above the checker's universes, raises
+    OracleError."""
+    oracle_level(ctx, ty)
     root = _Scope(ctx)
     return _attempts(budget, lambda gen: gen.term(root, ty, budget.max_term_size))
 
 
 @depth_guarded
 def gen_nf(budget: GenBudget, ctx: Context, ty: Term) -> nbe.Nf:
-    """A well-typed normal form; ty must be a normal type term.  Where no
-    attempt can succeed for want of a neutral, gives up without searching."""
+    """A well-typed normal form; ty must be a normal type term, and raises
+    OracleError as in gen_term when it is no type.  Where no attempt can
+    succeed for want of a neutral, gives up without searching."""
+    oracle_level(ctx, ty)
     target = _unreachable_neutral(ctx, ty)
     if target is not None:
         raise NoInhabitantError("no neutral of type {} found", target)
@@ -712,15 +751,15 @@ def gen_nf(budget: GenBudget, ctx: Context, ty: Term) -> nbe.Nf:
 
 def _unreachable_neutral(ctx: Context, ty: Term) -> Optional[Term]:
     """The El type that ends the Pi/Lift descent of the normal type ty, when
-    _Gen.nf would give up on it in every attempt; None when it might not.
+    _Gen.nf_at would give up on it in every attempt; None when it might not.
 
-    nf descends ty to that El type T in the extended context, then needs a
+    nf_at descends ty to that El type T in the extended context, then needs a
     neutral of T: a spine out of a variable.  ne catches every failure
     inside, so if no variable's type reaches T, every attempt ends in ne's
     "no neutral of type T found", unless the descent alone spends the
     attempt's budget.
     """
-    spent = 2  # the budget nf at T and ne spend before ne tries a variable
+    spent = 2  # the budget nf_at at T and ne spend before ne tries a variable
     while not isinstance(ty, El):
         match ty:
             case Pi(dom, cod):
@@ -790,9 +829,13 @@ def gen_renaming(budget: GenBudget, ctx: Context) -> Renaming:
         while rng.random() < 0.4:
             source_entries.append(rng.choice(junk_pool))
         cur = len(source_entries)
-        source_entries.append(
-            rename_with(entry, lambda i, j=j, cur=cur: cur - 1 - pos[j - 1 - i])
-        )
+
+        def to_source(i: int, j: int = j, cur: int = cur) -> int:
+            if i >= j:
+                raise ScopeError(f"context entry {j} mentions variable {i}, out of range in the {j} entries before it")
+            return cur - 1 - pos[j - 1 - i]
+
+        source_entries.append(rename_with(entry, to_source))
         pos.append(cur)
     while rng.random() < 0.4:
         source_entries.append(rng.choice(junk_pool))

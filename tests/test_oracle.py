@@ -1,6 +1,7 @@
 """The reduction oracle and the deterministic generators."""
 
 import hashlib
+import random
 
 import pytest
 
@@ -32,6 +33,7 @@ from sconekit.oracle import (
     NoInhabitantError,
     OracleError,
     gen_nf,
+    gen_renaming,
     gen_term,
     oracle_conv,
     oracle_norm,
@@ -225,6 +227,29 @@ def test_generator_output_is_pinned():
     assert h.hexdigest() == "59e15a5ed287c93c15bea397f994d19c0486a6b85d0fffefa177a356e77489ac"
 
 
+def test_generator_output_is_pinned_over_the_gen_workloads_seeds():
+    """The rest of the gen workload's seeds, 100..399, are fixed the same way."""
+    h = hashlib.sha256()
+    for s in range(100, 400):
+        nf_budget = GenBudget(max_term_size=5, max_context_length=3, seed=s)
+        h.update(repr(_gen_outcome(GenBudget(seed=s), gen_term)).encode())
+        h.update(repr(_gen_outcome(nf_budget, gen_nf)).encode())
+    assert h.hexdigest() == "70c516b64601e6252c92a92bc0a0eb569fe10b4f2d77d4080d5acda383469b6e"
+
+
+def test_shuffle_draws_as_the_rngs_own_shuffle():
+    """The generators shuffle through getrandbits: the same permutation,
+    and the rng left in the same state, as Random.shuffle."""
+    for seed in range(200):
+        for n in range(33):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            xs, ys = list(range(n)), list(range(n))
+            oracle._shuffle(ours.getrandbits, xs)
+            theirs.shuffle(ys)
+            assert xs == ys, (seed, n)
+            assert ours.getstate() == theirs.getstate(), (seed, n)
+
+
 @pytest.mark.parametrize("seed", [68, 369, 81])
 def test_generator_looks_up_each_variable_once_per_context(seed):
     """The slowest gen seeds give up after a long search; each variable's
@@ -240,15 +265,17 @@ def test_generator_looks_up_each_variable_once_per_context(seed):
 @pytest.mark.parametrize("seed, term_calls", [(68, 6_638), (369, 6_100), (81, 4_344)])
 def test_generator_finds_each_types_head_once_per_context(seed, term_calls):
     """The same slow searches take the same steps, and a step looks its type's
-    head up in its context's scope: whnf runs once per context and type, not
-    once per step."""
+    head and options up in its context's scope: whnf and the option table's
+    builder run once per context and type, not once per step."""
     budget = GenBudget(seed=seed)
     ctx = oracle.gen_context(budget)
     ty = oracle.gen_type(budget, ctx)
-    with counting("oracle._Gen.term", "oracle.whnf") as calls, pytest.raises(NoInhabitantError):
+    counted = ("oracle._Gen.term", "oracle.whnf", "oracle._Scope.option_table")
+    with counting(*counted) as calls, pytest.raises(NoInhabitantError):
         gen_term(budget, ctx, ty)
     assert calls["oracle._Gen.term"] == term_calls
     assert calls["oracle.whnf"] <= 100
+    assert calls["oracle._Scope.option_table"] <= 100
 
 
 def test_generator_calls_share_nothing():
@@ -355,12 +382,38 @@ def test_gen_nf_gives_up_before_searching_only_where_the_search_gives_up():
         if target is None:
             continue
         with pytest.raises(NoInhabitantError) as searched:
-            oracle._attempts(budget, lambda gen: gen.nf(ctx, ty, budget.max_term_size))
+            oracle._attempts(budget, lambda gen: gen.nf_at(oracle._Scope(ctx), ty, budget.max_term_size))
         with pytest.raises(NoInhabitantError) as pruned_early:
             gen_nf(budget, ctx, ty)
         assert str(pruned_early.value) == str(searched.value) == f"no neutral of type {show(target)} found", seed
         pruned += 1
     assert pruned >= 10
+
+
+@pytest.mark.parametrize(
+    "entries, ty",
+    [((), U(2)), ((), Lift(U(1))), ((), U(5)), ((Bool(),), El(Var(0)))],
+    ids=["U2", "Lift U1", "U5", "[b : Bool] |- El b"],
+)
+@pytest.mark.parametrize("make", [gen_term, gen_nf])
+def test_generators_refuse_what_is_no_type(entries, ty, make):
+    """The kernel rejects each ty, so no output could typecheck at it."""
+    ctx = Context(entries)
+    with pytest.raises(typecheck.TypeCheckError):
+        typecheck.wf_type(ctx, ty)
+    with pytest.raises(OracleError) as info:
+        make(GenBudget(), ctx, ty)
+    assert info.type is OracleError
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [(El(Var(0)),), (Bool(), El(Var(5))), (Bool(), El(Var(1)))],
+    ids=["El x0 first", "El x5 second", "El x1 second"],
+)
+def test_gen_renaming_of_an_ill_scoped_context_is_a_scope_error(entries):
+    with pytest.raises(ScopeError, match="out of range"):
+        gen_renaming(GenBudget(), Context(entries))
 
 
 def test_uninhabited_type_fails():
