@@ -63,21 +63,18 @@ class GluedValue:
 
     `term` is a closed term, read the same under any number of binders, or
     a function from the binder depth to the term read there.  `read(depth)`
-    gives the term under `depth` binders; `.term` reads at depth 0 and
-    keeps the result.
+    gives the term under `depth` binders, and `.term` the term at depth 0.
     """
 
-    __slots__ = ("read", "_term", "sem")
+    __slots__ = ("read", "sem")
 
     def __init__(self, term: Term | Callable[[int], Term], sem: Any) -> None:
         self.read = term if callable(term) else (lambda depth: term)
-        self._term, self.sem = None, sem
+        self.sem = sem
 
     @property
     def term(self) -> Term:
-        if self._term is None:
-            self._term = self.read(0)
-        return self._term
+        return self.read(0)
 
     def __repr__(self) -> str:
         return f"GluedValue(term={self.term!r}, sem={self.sem!r})"

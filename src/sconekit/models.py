@@ -303,13 +303,13 @@ class SU:
     level: int
 
 
-@node(eq=False)
+@node
 class SPi:
     dom: Any
     cod: Callable[[Any], Any]
 
 
-@node(eq=False)
+@node
 class SLift:
     inner: Any
 

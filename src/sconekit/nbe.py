@@ -34,6 +34,7 @@ from .syntax import (
     UnliftTm,
     Var,
     depth_guarded,
+    map_vars,
     node,
     rename_with,
 )
@@ -56,7 +57,7 @@ class IllTypedError(TypeError):
 
 
 # Each class's _children pairs its own fields with its term former's binder
-# counts (see _FORMER below), so syntax.rename_with renames normal forms.
+# counts (see _FORMER below), so syntax.map_vars renames and embeds normal forms.
 
 
 @node
@@ -160,35 +161,30 @@ class LiftNf(Nf):
     ty: Nf
 
 
-# The term former of each neutral, normal term and normal type; a wrapper embeds as its neutral.
+# What builds each normal form's embedding from its children's embeddings, or
+# from its fields if it has none: its term former; a wrapper embeds as its neutral.
+_neutral = lambda ne: ne  # noqa: E731
 _FORMER = {VarNe: Var, AppNe: App, ElimBoolNe: ElimBool, UnliftNe: UnliftTm,
            LamNf: Lam, TrueNf: TrueTm, FalseNf: FalseTm, CodeNf: Code, LiftTmNf: LiftTm,
-           PiNf: Pi, BoolNf: Bool, UNf: U, ElNf: El, LiftNf: Lift}
-_WRAPPERS = (NeAtBool, NeAtEl, NeAtU)
-for _cls, _former in _FORMER.items():  # the class's fields, with its former's binder counts
-    _cls._children = _former._children and tuple(zip(_cls.__match_args__, [b for _, b in _former._children]))
-for _cls in _WRAPPERS:  # the neutral sits under no binder
-    _cls._children = (("ne", 0),)
+           PiNf: Pi, BoolNf: Bool, UNf: U, ElNf: El, LiftNf: Lift,
+           NeAtBool: _neutral, NeAtEl: _neutral, NeAtU: _neutral}
+for _cls, _former in _FORMER.items():  # the class's fields, with its former's binder counts; a neutral sits under none
+    _cls._children = (("ne", 0),) if _former is _neutral else (
+        _former._children and tuple(zip(_cls.__match_args__, [b for _, b in _former._children])))
 del _cls, _former  # so that no module-level name is bound to a class twice
+
+
+def _embedding(x: object) -> Callable:
+    """x's entry in _FORMER; IllTypedError if x is no normal form."""
+    if (build := _FORMER.get(x.__class__)) is None:
+        raise IllTypedError(f"unknown normal form {show(x)}")
+    return build
 
 
 @depth_guarded
 def embed(nf: Nf) -> Term:
     """Forget normality."""
-    return _embed(nf)
-
-
-def _embed(x: Nf | Ne) -> Term:
-    if isinstance(x, _WRAPPERS):
-        x = x.ne
-    if (former := _FORMER.get(x.__class__)) is None:
-        raise IllTypedError(f"unknown normal form {show(x)}")
-    if not x._children:  # a variable, a universe or a constant: its fields are atoms
-        return former(*[getattr(x, name) for name in x.__match_args__])
-    args = []
-    for name, _ in x._children:
-        args.append(_embed(getattr(x, name)))
-    return former(*args)
+    return map_vars(nf, 0, lambda depth, v: Var(v.ix), _embedding)
 
 
 def show_nf(nf: Nf) -> str:
@@ -198,10 +194,9 @@ def show_nf(nf: Nf) -> str:
 
 def _embed_node(x: object) -> object:
     """The root of x's embedding over x's own children, or x if it is no normal form."""
-    if isinstance(x, _WRAPPERS):
-        x = x.ne
-    former = _FORMER.get(x.__class__)
-    return x if former is None else former(*[getattr(x, name) for name in x.__match_args__])
+    while (build := _FORMER.get(x.__class__)) is not None:
+        x = build(*[getattr(x, name) for name in x.__match_args__])
+    return x
 
 
 rename_ne = rename_nf = rename_with

@@ -24,6 +24,7 @@ from .syntax import (
     Lift,
     LiftTm,
     Pi,
+    ScopeError,
     Term,
     TrueTm,
     U,
@@ -368,6 +369,7 @@ def _resolve_keyword(s: SConst | SPrefix, scope: tuple[str, ...]) -> Term:
 
 @depth_guarded
 def pretty(t: Term) -> str:
+    """The surface text of t; ScopeError if a variable of t is not bound in t."""
     return _pp(t, 0, 0, {})
 
 
@@ -392,6 +394,8 @@ def _pp(t: Term, depth: int, prec: int, used: dict[int, bool]) -> str:
     since the Pi at depth d began its codomain."""
     match t:
         case Var(ix):
+            if not 0 <= ix < depth:
+                raise ScopeError(f"variable {ix} is not bound under {depth} binders")
             used[depth - 1 - ix] = True
             return _name(depth - 1 - ix)
         case Bool() | TrueTm() | FalseTm():

@@ -108,24 +108,18 @@ class _DataclassView:
         return cls.__dict__[self.name]
 
 
-def node(cls=None, /, *, eq=True):
+def node(cls):
     """Make cls a frozen, slotted node class, like @dataclass(frozen=True, slots=True).
 
     The fields are the annotations, inherited ones first, and a class
     attribute is a default.  The class is rebuilt with __slots__ on _Node,
-    and __init__ and, unless eq is False, __eq__ and __hash__ over the field
-    tuple are bound to it by one exec of code compiled once per field
-    layout; __repr__ is _Node's, read through __match_args__.  The class's
-    __dataclass_fields__ and __dataclass_params__ are built on first read,
-    so dataclasses.fields, is_dataclass, replace and asdict work, and
-    defining a node class does not import dataclasses.
+    and __init__, and __eq__ and __hash__ over the field tuple, are bound to
+    it by one exec of code compiled once per field layout; __repr__ is
+    _Node's, read through __match_args__.  The class's __dataclass_fields__
+    and __dataclass_params__ are built on first read, so dataclasses.fields,
+    is_dataclass, replace and asdict work, and defining a node class does
+    not import dataclasses.
     """
-    if cls is None:
-        return lambda cls: _make_node(cls, eq)
-    return _make_node(cls, eq)
-
-
-def _make_node(cls, eq):
     own = tuple(cls.__dict__.get("__annotations__", ()))
     params = getattr(cls, "_node_fields", ())
     params += tuple((n, cls.__annotations__[n], cls.__dict__.get(n, _NO_DEFAULT)) for n in own)
@@ -141,7 +135,7 @@ def _make_node(cls, eq):
     defaults = {n: d for n, _, d in params if d is not _NO_DEFAULT}
     env = {f"_set_{n}": getattr(new, n).__set__ for n in names}
     env.update((f"_default_{n}", d) for n, d in defaults.items())
-    exec(_node_code(names, tuple(defaults), eq), env)
+    exec(_node_code(names, tuple(defaults)), env)
     for name in ("__init__", "__eq__", "__hash__"):
         if name in env:
             env[name].__qualname__ = f"{new.__qualname__}.{name}"
@@ -150,7 +144,7 @@ def _make_node(cls, eq):
 
 
 @cache
-def _node_code(names, defaulted, eq):
+def _node_code(names, defaulted):
     """The methods of a node class with these fields; the class's env binds _set_*/_default_*."""
     self_t = "(" + "".join(f"self.{n}," for n in names) + ")"
     other_t = "(" + "".join(f"other.{n}," for n in names) + ")"
@@ -159,12 +153,11 @@ def _node_code(names, defaulted, eq):
         args = ", ".join(f"{n}=_default_{n}" if n in defaulted else n for n in names)
         body = "".join(f" _set_{n}(self, {n})\n" for n in names)
         src += f"def __init__(self, {args}):\n{body}"
-    if eq:
-        src += (
-            f"def __eq__(self, other):\n if other.__class__ is self.__class__:\n"
-            f"  return {self_t} == {other_t}\n return NotImplemented\n"
-            f"def __hash__(self):\n return hash({self_t})\n"
-        )
+    src += (
+        f"def __eq__(self, other):\n if other.__class__ is self.__class__:\n"
+        f"  return {self_t} == {other_t}\n return NotImplemented\n"
+        f"def __hash__(self):\n return hash({self_t})\n"
+    )
     return compile(src, "<node>", "exec")
 
 
@@ -179,8 +172,8 @@ class Term:
     _children lists a node class's node-valued fields in __match_args__
     order, each with the number of variables it binds; a class that has
     any has no other field.  None marks a variable class.  Every
-    structural walk (term_size, is_closed, renaming, substitution) reads
-    it, for terms and for nbe's normal forms alike.
+    structural walk (term_size, is_closed, renaming, substitution, nbe's
+    embedding) reads it, for terms and for nbe's normal forms alike.
     """
 
     _children = ()
@@ -312,17 +305,23 @@ def mentions(t: Term, ix: int) -> bool:
     return _any_var(t, 0, lambda depth, i: i == ix + depth)
 
 
-def _map_vars(t: Term, depth: int, on_var: Callable[[int, Term], Term]) -> Term:
-    """Rebuild t, replacing each variable node v under depth binders by on_var(depth, v)."""
+def map_vars(t: Term, depth: int, on_var: Callable[[int, Term], Term], on_node: Callable | None = None) -> Term:
+    """Rebuild t, replacing each variable node v under depth binders by on_var(depth, v).
+
+    on_node, if given, maps each node, variables too, to what builds its
+    image from its children's images, or from its fields if it has none;
+    else a node is rebuilt in its own class, and one without children kept.
+    """
+    make = t.__class__ if on_node is None else on_node(t)  # first, so that on_node may reject t
     children = t._children
     if children is None:
         return on_var(depth, t)
     if not children:
-        return t
+        return t if on_node is None else make(*[getattr(t, name) for name in t.__match_args__])
     args = []
     for name, binds in children:
-        args.append(_map_vars(getattr(t, name), depth + binds, on_var))
-    return t.__class__(*args)
+        args.append(map_vars(getattr(t, name), depth + binds, on_var, on_node))
+    return make(*args)
 
 
 def rename_with(t: Term, on_ix: Callable[[int], int]) -> Term:
@@ -333,7 +332,7 @@ def rename_with(t: Term, on_ix: Callable[[int], int]) -> Term:
             return v
         return v.__class__(on_ix(v.ix - depth) + depth)
 
-    return _map_vars(t, 0, go)
+    return map_vars(t, 0, go)
 
 
 @depth_guarded
@@ -359,7 +358,7 @@ def subst_with(t: Term, terms: Sequence[Term]) -> Term:
             return shift(terms[j], depth)
         return Var(j - len(terms) + depth)
 
-    return _map_vars(t, 0, go)
+    return map_vars(t, 0, go)
 
 
 @depth_guarded
@@ -515,4 +514,4 @@ def subst(s: Substitution, t: Term) -> Term:
             raise ScopeError(f"variable {j} not in substitution target")
         return shift(s.terms[j], depth)
 
-    return _map_vars(t, 0, go)
+    return map_vars(t, 0, go)

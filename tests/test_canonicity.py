@@ -30,8 +30,10 @@ from sconekit.canonicity import (
     glued_eval,
 )
 
+from conftest import bench_module
 import generated
 
+families = bench_module("families")
 NEG = Lam(ElimBool(Bool(), FalseTm(), TrueTm(), Var(0)))
 
 
@@ -99,22 +101,12 @@ def test_canon_of_nary_application_never_closes(monkeypatch):
     monkeypatch.setattr(GluedValue, "term", property(fail_read))
     monkeypatch.setattr(GluedValue, "__init__", unreadable)
     for n in (100, 200):
-        assert canon(_nary(n)) == BoolWitness.IS_TRUE
-
-
-def _nary(n):
-    """(fun x1 ... xn => x1) true false ... false"""
-    t = Var(n - 1)
-    for _ in range(n):
-        t = Lam(t)
-    for i in range(n):
-        t = App(t, TrueTm() if i == 0 else FalseTm())
-    return t
+        assert canon(families.nary(n)) == BoolWitness.IS_TRUE
 
 
 def test_canon_of_long_nary_application():
     # its redexes are bound as definitions, without recursion per argument
-    assert canon(_nary(600)) == BoolWitness.IS_TRUE
+    assert canon(families.nary(600)) == BoolWitness.IS_TRUE
 
 
 def test_glued_eval_of_closed_term_projects_to_itself():

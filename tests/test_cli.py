@@ -1,6 +1,5 @@
 """Command-line interface: subcommands, exit codes, JSON output."""
 
-import importlib.util
 import json
 import os
 import subprocess
@@ -9,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import bench_module
 from sconekit.cli import main
 from sconekit.surface import MAX_NESTING
 from test_errors import EXPONENTIAL
@@ -215,16 +215,7 @@ def test_missing_file_argument_is_a_usage_error(capsys, argv):
     assert "the following arguments are required" in capsys.readouterr().err
 
 
-def _bench_cli_cases():
-    """bench/cli_cases.py: the input files and calls of the benchmark's cli workload."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "cli_cases.py"
-    spec = importlib.util.spec_from_file_location("bench_cli_cases", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-BENCH = _bench_cli_cases()
+BENCH = bench_module("cli_cases")  # the input files and calls of the benchmark's cli workload
 CHURCH_ID_TYPE = "(x0 : U0) -> (El x0) -> El x0"
 CHURCH_ID_WITNESS_TYPE = "(x0 : U0) -> (x1 : (El x0) -> U0) -> (x2 : El x0) -> (El x1 x2) -> El x1 x2"
 # the JSON objects of the subcommands that the benchmark checks only as text

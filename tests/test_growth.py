@@ -14,35 +14,22 @@ import tracemalloc
 
 import pytest
 
+from conftest import bench_module
 from counting import counting
 from sconekit import canonicity, nbe, oracle, parametricity, surface, typecheck
 from sconekit.nbe import NeAtBool, VarNe
 from sconekit.syntax import App, Bool, Context, ElimBool, FalseTm, Lam, Pi, TrueTm, Var, term_size
 from test_parametricity import church, pi_chain
-from test_typecheck import _dup, _eta_spine
+from test_typecheck import _eta_spine
+
+families = bench_module("families")
 
 BOUND = 2.3
 WORK_BOUND = 2.2
 
 
-def projection(n):
-    """fun x1 ... xn => x1, at Bool -> ... -> Bool (n arrows)."""
-    t, ty = Var(n - 1), Bool()
-    for _ in range(n):
-        t, ty = Lam(t), Pi(Bool(), ty)
-    return t, ty
-
-
-def nary(n):
-    """(fun x1 ... xn => x1) true false ... false."""
-    t, _ = projection(n)
-    for arg in [TrueTm()] + [FalseTm()] * (n - 1):
-        t = App(t, arg)
-    return t
-
-
 def norm_projection(n):
-    t, ty = projection(n)
+    t, ty = families.projection(n)
 
     def call():
         nf = nbe.norm(Context(), ty, t)
@@ -53,12 +40,12 @@ def norm_projection(n):
 
 
 def check_projection(n):
-    t, ty = projection(n)
+    t, ty = families.projection(n)
     return lambda: typecheck.check(Context(), t, ty)
 
 
 def canon_nary(n):
-    t = nary(n)
+    t = families.nary(n)
     return lambda: canonicity.canon(t)
 
 
@@ -126,7 +113,7 @@ def pretty_arrows(n):
 
 def check_dup(n):
     """No let-bound argument of dup(n) is evaluated, since no type reads one."""
-    t = _dup(n)
+    t = families.dup(n)
     return lambda: typecheck.check(Context(), t, Bool())
 
 
@@ -162,9 +149,9 @@ WORK = [
     ("oracle.oracle_norm", oracle_eta_spine, 100, ("oracle.oracle_infer",), ()),
     ("surface.pretty", pretty_arrows, 200, ("surface._pp", "syntax._any_var"), ()),
     ("typecheck.check", check_dup, 10, ("nbe.eval_term", "models.eval_term", "nbe.quote_type"), ()),
-    ("typecheck.check", check_eta_spine, 100, ("models.eval_term", "nbe.quote_type", "syntax._map_vars", "syntax._any_var"), ()),
+    ("typecheck.check", check_eta_spine, 100, ("models.eval_term", "nbe.quote_type", "syntax.map_vars", "syntax._any_var"), ()),
     ("typecheck.check", check_applied_let, 50, ("models.eval_term",), ()),
-    ("parametricity.param_family", param_pi_chain, 10, ("syntax._map_vars", "parametricity._param_term", "parametricity._param_family"), ()),
+    ("parametricity.param_family", param_pi_chain, 10, ("syntax.map_vars", "parametricity._param_term", "parametricity._param_family"), ()),
 ]
 
 

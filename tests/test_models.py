@@ -20,6 +20,7 @@ from sconekit.syntax import (
 )
 from sconekit import canonicity, nbe, oracle, typecheck
 from sconekit.models import (
+    SHOWN,
     SBool,
     SPi,
     SU,
@@ -29,6 +30,7 @@ from sconekit.models import (
     eval_substitution,
     eval_term,
     eval_type,
+    show,
     types_equal,
     values_equal,
 )
@@ -83,6 +85,15 @@ def test_a_closure_shows_its_environment_outermost_first():
         "VLam(clo=Clo(model=NbeModel(), env=Env(VTrue(), VFalse()), body=Var(ix=2)))"
     )
     assert repr(_closure()) == "VLam(clo=Clo(model=NbeModel(), env=Env(), body=Var(ix=0)))"
+
+
+def test_show_prints_a_repr_of_exactly_shown_characters_whole():
+    text = "a" * (SHOWN - 2)
+    assert len(repr(text)) == SHOWN and show(text) == repr(text)
+
+
+def test_show_prints_a_one_tuple_with_its_comma():
+    assert show((1,)) == "(1,)"
 
 
 def test_elim_bool_computes():

@@ -125,6 +125,16 @@ def test_every_normal_form_class_embeds(cls):
     assert type(embed(nf)) is _TERM_FORMER[cls]
 
 
+@pytest.mark.parametrize(
+    "x",
+    [None, LamNf(None), TrueTm(), Var(0), LamNf(TrueTm()), NeAtBool(TrueTm()), AppNe(VarNe(0), None)],
+    ids=repr,
+)
+def test_embed_of_what_is_no_normal_form_is_an_ill_typed_error(x):
+    with pytest.raises(nbe.IllTypedError, match="unknown normal form"):
+        embed(x)
+
+
 def test_normal_form_embedding_typechecks():
     count = 0
     for seed in range(80):

@@ -10,8 +10,6 @@ import pytest
 from sconekit import canonicity, models, nbe, parametricity, surface, syntax
 
 MODULES = (syntax, nbe, surface, canonicity, models, parametricity)
-# the classes built with node(eq=False), which compare by identity
-IDENTITY = {models.SPi, models.SLift}
 
 NODE_CLASSES = [
     cls
@@ -30,7 +28,7 @@ def _reference(cls):
         (f.name, f.type) if f.default is dataclasses.MISSING else (f.name, f.type, f.default)
         for f in dataclasses.fields(cls)
     ]
-    return dataclasses.make_dataclass(cls.__name__, spec, frozen=True, eq=cls not in IDENTITY)
+    return dataclasses.make_dataclass(cls.__name__, spec, frozen=True)
 
 
 def _args(cls, tag):
@@ -39,7 +37,6 @@ def _args(cls, tag):
 
 def test_every_node_class_is_found():
     assert len(NODE_CLASSES) == 68
-    assert IDENTITY <= set(NODE_CLASSES)
 
 
 @pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda c: f"{c.__module__}.{c.__name__}")
@@ -53,14 +50,11 @@ def test_node_class_matches_its_dataclass_reference(cls):
         (f.name, f.type, f.default) for f in dataclasses.fields(ref)
     ]
     assert dataclasses.is_dataclass(x) and not hasattr(x, "__dict__")
-    if cls in IDENTITY:
-        assert x != y and x == x and hash(x) == object.__hash__(x)
-    else:
-        assert x == y and hash(x) == hash(y) == hash(r)
-        assert x.__eq__(r) is NotImplemented and x != r
-        assert copy.copy(x) == x == pickle.loads(pickle.dumps(x))
-        if args:
-            assert x != cls(*other)
+    assert x == y and hash(x) == hash(y) == hash(r)
+    assert x.__eq__(r) is NotImplemented and x != r
+    assert copy.copy(x) == x == pickle.loads(pickle.dumps(x))
+    if args:
+        assert x != cls(*other)
     for name, value in zip(cls.__match_args__, other):
         changed = dataclasses.replace(x, **{name: value})
         assert getattr(changed, name) == value and repr(changed) == repr(dataclasses.replace(r, **{name: value}))

@@ -11,6 +11,7 @@ from sconekit.syntax import (
     FalseTm,
     Lam,
     Pi,
+    ScopeError,
     TrueTm,
     U,
     Var,
@@ -114,6 +115,13 @@ def test_pretty_names_by_binder_depth():
     assert pretty(Pi(Pi(U(0), El(Var(0))), Bool())) == "((x0 : U0) -> El x0) -> Bool"
     # the codomain uses the outer binder from inside an inner Pi
     assert pretty(Pi(U(0), Pi(Bool(), El(Var(1))))) == "(x0 : U0) -> Bool -> El x0"
+
+
+@pytest.mark.parametrize("t", [Var(3), Lam(Var(1)), Lam(Var(-1)), Pi(Bool(), App(Var(0), Var(1)))], ids=repr)
+def test_pretty_of_an_unbound_variable_is_a_scope_error(t):
+    """A variable that its term does not bind has no name to print."""
+    with pytest.raises(ScopeError, match="is not bound"):
+        pretty(t)
 
 
 def test_universe_suffix_is_decimal_digits():

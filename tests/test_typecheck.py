@@ -44,8 +44,10 @@ from sconekit.typecheck import (
 
 import generated
 import reference_typecheck as ref
+from conftest import bench_module
 from counting import counting
 
+families = bench_module("families")
 NEG = Lam(ElimBool(Bool(), FalseTm(), TrueTm(), Var(0)))
 
 
@@ -192,14 +194,6 @@ def test_check_rejects_term_as_type():
         check(Context(), Lam(Var(0)), TrueTm())
 
 
-def _dup(k):
-    """k nested (fun x => elim x at _ => Bool | x | x) redexes around true."""
-    t = TrueTm()
-    for _ in range(k):
-        t = App(Lam(ElimBool(Bool(), Var(0), Var(0), Var(0))), t)
-    return t
-
-
 # b : Bool |- El (elim b at _ => U0 | code Bool | code Bool), a type that mentions b
 _OPEN_TYPE = El(ElimBool(U(0), Code(Bool()), Code(Bool()), Var(0)))
 
@@ -230,7 +224,7 @@ def test_checker_embeds_a_normal_type_only_to_bind_it():
         t, ty = Lam(t), Pi(Bool(), ty)
     with counting("nbe.embed") as calls:
         for k in (10, 20):
-            check(Context(), _dup(k), Bool())
+            check(Context(), families.dup(k), Bool())
             assert calls["nbe.embed"] == 0, k
         check(Context(), t, ty)
     assert calls["nbe.embed"] <= n
@@ -246,12 +240,12 @@ def _eta_spine(n):
     return t, Pi(ty, ty)
 
 
-@pytest.mark.parametrize("term, ty", [_eta_spine(100), (_dup(20), Bool())], ids=["eta spine", "dup(20)"])
+@pytest.mark.parametrize("term, ty", [_eta_spine(100), (families.dup(20), Bool())], ids=["eta spine", "dup(20)"])
 def test_check_walks_no_syntax(term, ty):
     """check decides by values: it renames, substitutes and scans no term."""
-    with counting("syntax._map_vars", "syntax._any_var") as calls:
+    with counting("syntax.map_vars", "syntax._any_var") as calls:
         check(Context(), term, ty)
-    assert calls == {"syntax._map_vars": 0, "syntax._any_var": 0}
+    assert calls == {"syntax.map_vars": 0, "syntax._any_var": 0}
 
 
 def test_eta_spine_checks_under_the_default_recursion_limit():
