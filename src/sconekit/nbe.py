@@ -387,45 +387,37 @@ def eval_term(env: Iterable[Val], t: Term) -> Val:
 # Quote: under depth binders, level l reads back as index depth-1-l
 
 
+_NE_AT = {VBool: NeAtBool, VU: NeAtU, VEl: NeAtEl}  # what wraps a stuck value at each base type but Lift
+
+
 def quote(vty: Val, v: Val, depth: int = 0) -> Nf:
     """Reify a value as a typed eta-long normal form under depth binders.
 
     A chain of Π-types is read in one loop, a fresh level per binder, and
-    its base type once through quote; then one LamNf wraps it per binder.
+    then its base type; one LamNf wraps the result per binder.
     """
-    cls, top = vty.__class__, depth
-    while cls is VPi:
+    top = depth
+    while vty.__class__ is VPi:
         fresh = VNe(vty.dom, depth)
         vty = vty.cod(fresh)
         v = v.clo(fresh) if v.__class__ is VLam else apply_val(v, fresh)
-        cls, depth = vty.__class__, depth + 1
-    if depth > top:
-        nf = quote(vty, v, depth)
-        for _ in range(depth - top):
-            nf = LamNf(nf)
-        return nf
-    vcls = v.__class__
-    if cls is VBool:
-        if vcls is VTrue:
-            return TrueNf()
-        if vcls is VFalse:
-            return FalseNf()
-        if vcls is VNe:
-            return NeAtBool(quote_ne(v.ne, depth))
-    elif cls is VU:
-        if vcls is VCode:
-            return CodeNf(quote_type(v.ty, depth))
-        if vcls is VNe:
-            return NeAtU(quote_ne(v.ne, depth))
-    elif cls is VEl:
-        if vcls is VNe:
-            return NeAtEl(quote_ne(v.ne, depth))
+        depth += 1
+    cls, vcls = vty.__class__, v.__class__
+    if cls is VBool and vcls is VTrue:
+        nf = TrueNf()
+    elif cls is VBool and vcls is VFalse:
+        nf = FalseNf()
+    elif vcls is VNe and cls in _NE_AT:
+        nf = _NE_AT[cls](quote_ne(v.ne, depth))
     elif cls is VLift:
-        if vcls is VLiftVal:
-            return LiftTmNf(quote(vty.ty, v.inner, depth))
-        if vcls is VNe:
-            return LiftTmNf(quote(vty.ty, VNe(vty.ty, UnliftFrame(v.ne)), depth))
-    raise IllTypedError(f"cannot quote {show(v)} at type {show(vty)}")
+        nf = LiftTmNf(quote(vty.ty, NBE.unlift_tm(v), depth))
+    elif cls is VU and vcls is VCode:
+        nf = CodeNf(quote_type(v.ty, depth))
+    else:
+        raise IllTypedError(f"cannot quote {show(v)} at type {show(vty)}")
+    while depth > top:
+        nf, depth = LamNf(nf), depth - 1
+    return nf
 
 
 def quote_type(vty: Val, depth: int = 0) -> Nf:

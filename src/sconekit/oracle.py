@@ -368,7 +368,7 @@ class _Scope:
     the type asked about.  Nothing here draws from the generator's rng.
     """
 
-    __slots__ = ("ctx", "tables", "_table", "_pi_vars", "_keys", "_children")
+    __slots__ = ("ctx", "tables", "_table", "_keys", "_children")
 
     def __init__(self, ctx: Context):
         self.ctx = ctx
@@ -376,7 +376,6 @@ class _Scope:
         # here, so a step whose type was asked about before makes no call
         self.tables: dict[Term, tuple[Term, Term, tuple, tuple]] = {}
         self._table: Optional[tuple[tuple[Optional[Term], Optional[Term]], ...]] = None
-        self._pi_vars: Optional[tuple[tuple[int, Pi], ...]] = None
         self._keys: dict[Term, Term] = {}
         self._children: dict[Term, _Scope] = {}
 
@@ -429,11 +428,9 @@ class _Scope:
             self._table = tuple(rows)
         return self._table
 
-    def pi_vars(self) -> tuple[tuple[int, Pi], ...]:
+    def pi_vars(self) -> list[tuple[int, Pi]]:
         """(index, whnf of its type) of each variable of a Π type, index order."""
-        if self._pi_vars is None:
-            self._pi_vars = tuple((i, w) for i, (w, _) in enumerate(self.var_table()) if isinstance(w, Pi))
-        return self._pi_vars
+        return [(i, w) for i, (w, _) in enumerate(self.var_table()) if isinstance(w, Pi)]
 
 
 def _draws(n: int) -> tuple[tuple[int, int], ...]:
@@ -584,7 +581,7 @@ class _Gen:
         return ElimBool(shift(ty, 1), tcase, fcase, scrut)
 
     def _app_of_var(self, scope: _Scope, key: Term, size: int, depth: int) -> Term:
-        candidates = list(scope.pi_vars())
+        candidates = scope.pi_vars()
         _shuffle(self.rng.getrandbits, candidates)
         for i, vty in candidates:
             arg = self.term(scope, vty.dom, max(1, size // 2), depth + 1)

@@ -22,8 +22,8 @@ class DepthError(RecursionError):
     surface.pretty, term_size, is_closed, mentions, shift, subst1, subst, rename
     and the oracle's reduce, oracle_norm, oracle_norm_type, oracle_conv and
     generators (gen_type, gen_term, gen_nf, gen_closing_substitution and
-    gen_renaming) raise it instead of a bare RecursionError;
-    sys.setrecursionlimit raises the limit.
+    gen_renaming), and every node's ==, hash and repr, raise it instead of a
+    bare RecursionError; sys.setrecursionlimit raises the limit.
     """
 
     def __init__(self) -> None:
@@ -64,7 +64,10 @@ class _Node:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __repr__(self):
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        try:
+            shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        except RecursionError:
+            raise DepthError from None
         return f"{self.__class__.__qualname__}({shown})"
 
     def __getstate__(self):
@@ -115,10 +118,11 @@ def node(cls):
     attribute is a default.  The class is rebuilt with __slots__ on _Node,
     and __init__, and __eq__ and __hash__ over the field tuple, are bound to
     it by one exec of code compiled once per field layout; __repr__ is
-    _Node's, read through __match_args__.  The class's __dataclass_fields__
-    and __dataclass_params__ are built on first read, so dataclasses.fields,
-    is_dataclass, replace and asdict work, and defining a node class does
-    not import dataclasses.
+    _Node's, read through __match_args__.  All three raise DepthError on a
+    node nested too deeply for the recursion limit.  The class's
+    __dataclass_fields__ and __dataclass_params__ are built on first read,
+    so dataclasses.fields, is_dataclass, replace and asdict work, and
+    defining a node class does not import dataclasses.
     """
     own = tuple(cls.__dict__.get("__annotations__", ()))
     params = getattr(cls, "_node_fields", ())
@@ -134,6 +138,7 @@ def node(cls):
         setattr(new, name, _DataclassView(new, name))
     defaults = {n: d for n, _, d in params if d is not _NO_DEFAULT}
     env = {f"_set_{n}": getattr(new, n).__set__ for n in names}
+    env["DepthError"] = DepthError
     env.update((f"_default_{n}", d) for n, d in defaults.items())
     exec(_node_code(names, tuple(defaults)), env)
     for name in ("__init__", "__eq__", "__hash__"):
@@ -145,7 +150,7 @@ def node(cls):
 
 @cache
 def _node_code(names, defaulted):
-    """The methods of a node class with these fields; the class's env binds _set_*/_default_*."""
+    """The methods of a node class with these fields; the class's env binds _set_*/_default_* and DepthError."""
     self_t = "(" + "".join(f"self.{n}," for n in names) + ")"
     other_t = "(" + "".join(f"other.{n}," for n in names) + ")"
     src = ""
@@ -154,9 +159,9 @@ def _node_code(names, defaulted):
         body = "".join(f" _set_{n}(self, {n})\n" for n in names)
         src += f"def __init__(self, {args}):\n{body}"
     src += (
-        f"def __eq__(self, other):\n if other.__class__ is self.__class__:\n"
-        f"  return {self_t} == {other_t}\n return NotImplemented\n"
-        f"def __hash__(self):\n return hash({self_t})\n"
+        f"def __eq__(self, other):\n if other.__class__ is not self.__class__:\n  return NotImplemented\n"
+        f" try:\n  return {self_t} == {other_t}\n except RecursionError:\n  raise DepthError from None\n"
+        f"def __hash__(self):\n try:\n  return hash({self_t})\n except RecursionError:\n  raise DepthError from None\n"
     )
     return compile(src, "<node>", "exec")
 
@@ -306,30 +311,30 @@ def mentions(t: Term, ix: int) -> bool:
 
 
 def map_vars(t: Term, depth: int, on_var: Callable[[int, Term], Term], on_node: Callable | None = None) -> Term:
-    """Rebuild t, replacing each variable node v under depth binders by on_var(depth, v).
+    """Rebuild t, replacing each free variable node v under depth binders by on_var(depth, v).
 
-    on_node, if given, maps each node, variables too, to what builds its
-    image from its children's images, or from its fields if it has none;
-    else a node is rebuilt in its own class, and one without children kept.
+    on_node, if given, maps each other node, bound variables too, to what
+    builds its image from its children's images, or from its fields if it
+    has none; else a node is rebuilt in its own class, and one without
+    children kept.
     """
     make = t.__class__ if on_node is None else on_node(t)  # first, so that on_node may reject t
     children = t._children
     if children is None:
-        return on_var(depth, t)
-    if not children:
-        return t if on_node is None else make(*[getattr(t, name) for name in t.__match_args__])
-    args = []
-    for name, binds in children:
-        args.append(map_vars(getattr(t, name), depth + binds, on_var, on_node))
-    return make(*args)
+        if t.ix >= depth:
+            return on_var(depth, t)
+    elif children:
+        args = []
+        for name, binds in children:
+            args.append(map_vars(getattr(t, name), depth + binds, on_var, on_node))
+        return make(*args)
+    return t if on_node is None else make(*[getattr(t, name) for name in t.__match_args__])  # a leaf or a bound variable
 
 
 def rename_with(t: Term, on_ix: Callable[[int], int]) -> Term:
     """Apply on_ix to every free variable index of t, a term or a normal form."""
 
     def go(depth: int, v: Term) -> Term:
-        if v.ix < depth:
-            return v
         return v.__class__(on_ix(v.ix - depth) + depth)
 
     return map_vars(t, 0, go)
@@ -351,8 +356,6 @@ def subst_with(t: Term, terms: Sequence[Term]) -> Term:
     """
 
     def go(depth: int, v: Var) -> Term:
-        if v.ix < depth:
-            return v
         j = v.ix - depth
         if j < len(terms):
             return shift(terms[j], depth)
@@ -507,8 +510,6 @@ class Substitution:
 @depth_guarded
 def subst(s: Substitution, t: Term) -> Term:
     def go(depth: int, v: Var) -> Term:
-        if v.ix < depth:
-            return v
         j = v.ix - depth
         if j >= len(s.terms):
             raise ScopeError(f"variable {j} not in substitution target")

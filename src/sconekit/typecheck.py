@@ -15,7 +15,6 @@ from .syntax import (
     Bool,
     Code,
     Context,
-    DepthError,
     El,
     ElimBool,
     FalseTm,
@@ -267,20 +266,3 @@ def conv(ctx: Context, ty: Term, a: Term, b: Term) -> bool:
     _check(scope, a, vty)
     _check(scope, b, vty)
     return nbe.quote(vty, nbe.eval_term(scope.env, a)) == nbe.quote(vty, nbe.eval_term(scope.env, b))
-
-
-__all__ = [
-    "DEFAULT_MAX_LEVEL",
-    "TypeCheckError",
-    "TypeMismatchError",
-    "NotInferableError",
-    "LevelError",
-    "ScopeError",
-    "DepthError",
-    "wf_type",
-    "check_context",
-    "infer",
-    "check",
-    "conv",
-    "conv_types",
-]

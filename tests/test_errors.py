@@ -245,6 +245,9 @@ ENTRY_POINTS = {
     "check_context": lambda: check_context(Context((El(_nested_identity(Code(Bool()))),))),
     "conv_types": lambda: conv_types(Context(), _deep_pi(), _deep_pi()),
     "embed": lambda: embed(_nested(LamNf, NeAtBool(VarNe(0)))),
+    "==": lambda: _nested(LamNf, NeAtBool(VarNe(0))) == _nested(LamNf, NeAtBool(VarNe(0))),
+    "hash": lambda: hash(_nested(LamNf, NeAtBool(VarNe(0)))),
+    "repr": lambda: repr(_nested(LamNf, NeAtBool(VarNe(0)))),
     "pretty": lambda: pretty(_nested(Lam, Var(0))),
     "glued_eval": lambda: glued_eval((), DEEP),
     "glued_eval_type": lambda: glued_eval_type((), El(_nested_identity(Code(Bool())))),

@@ -1,7 +1,7 @@
 """Every library and test module uses each name it imports; every library module
-imports from each module once, imports no private name of another and reads
-nothing from the process environment; only models knows the environment's cells,
-and only syntax reads a context's definitions."""
+imports from each module once, imports no private name of another, keeps no
+__all__ of its own and reads nothing from the process environment; only models
+knows the environment's cells, and only syntax reads a context's definitions."""
 
 import ast
 from pathlib import Path
@@ -124,6 +124,32 @@ def test_gate_sees_an_environment_read():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_module_reads_the_environment(path):
     assert environment_reads(ast.parse(path.read_text())) == [], path.name
+
+
+def all_assignments(tree: ast.Module) -> list[int]:
+    """The lines where tree assigns __all__, by =, annotated = or +=."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        if any(getattr(t, "id", None) == "__all__" for t in targets):
+            found.append(node.lineno)
+    return found
+
+
+def test_gate_sees_an_all_assignment():
+    tree = ast.parse("__all__ = ['a']\nall_ = []\n__all__: list = []\n__all__ += ['b']\nx.__all__ = []\n")
+    assert all_assignments(tree) == [1, 3, 4]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_only_the_package_lists_its_public_names(path):
+    """sconekit/__init__.py's __all__ is the one list of public names."""
+    assert all_assignments(ast.parse(path.read_text())) == [], path.name
 
 
 def env_cell_uses(tree: ast.Module) -> list[str]:

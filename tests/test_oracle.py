@@ -278,6 +278,23 @@ def test_generator_finds_each_types_head_once_per_context(seed, term_calls):
     assert calls["oracle._Scope.option_table"] <= 100
 
 
+@pytest.mark.parametrize("bounds", [{"max_term_size": 0}, {"max_context_length": 0}])
+def test_a_generator_bound_below_one_is_a_value_error(bounds):
+    with pytest.raises(ValueError, match="must be >= 1"):
+        GenBudget(**bounds)
+
+
+def test_a_pi_type_is_drawn_from_size_3_on():
+    """type_at offers Π only from size 3: a domain and a codomain of size 1 each, and the Π."""
+
+    def pis(size):
+        draws = [oracle._Gen(GenBudget(seed=s)).type_at(oracle._Scope(Context()), size, 1) for s in range(100)]
+        return sum(isinstance(ty, Pi) for ty in draws)
+
+    assert pis(3) >= 1
+    assert pis(2) == 0
+
+
 def test_generator_calls_share_nothing():
     """A seed's outcomes are the same alone, run again, and between other
     seeds' calls: no generator state outlives a gen_* call."""
